@@ -27,6 +27,7 @@ from .hist import (
     eval_statistic,
     neighbors,
 )
+from .mechanisms import UNDEFINED, NoiseSpec, trlap_output_pmf
 from .transport import DiscreteDistribution
 
 _ORACLE_ATOM_GUARD = 4
@@ -203,11 +204,11 @@ def flexible_error(kind: StatisticKind, x: Histogram, released, budget: float) -
     """
     if x.size == 0:
         raise DomainError("flexible_error needs a non-empty histogram")
-    if released is None or repr(released) == "undefined":
+    if released is None or released is UNDEFINED:
         return _full_range(x)
     m = _drop_allowance(budget, x.size)
-    if kind.name == "max":
-        return _flex_max(x, float(released), m)
+    if kind.name in ("max", "min"):
+        return _flex_extreme(x, float(released), m, largest=kind.name == "max")
     if kind.name == "maxk":
         return _flex_maxk(x, kind.k, float(released), m)
     if kind.name == "mode":
@@ -215,12 +216,17 @@ def flexible_error(kind: StatisticKind, x: Histogram, released, budget: float) -
     raise ParameterError(f"no exact flexible-error routine for {kind}")
 
 
-def _flex_max(x: Histogram, released: float, m: int) -> float:
+def _flex_extreme(x: Histogram, released: float, m: int, largest: bool) -> float:
+    """Max (largest) or min: with j drops the reachable value is the
+    (j+1)-th element counted from that end, for j up to m (never all n)."""
     pts = np.array([g[0] for g, _ in x.items()], dtype=float)
     cnt = np.array([c for _, c in x.items()], dtype=np.int64)
-    elems = np.repeat(pts, cnt)[::-1]  # items() is point-sorted ascending
-    reach = elems[: min(m, elems.size - 1) + 1]  # (j+1)-th largest for j drops
+    elems = np.repeat(pts, cnt)  # items() is point-sorted ascending
+    if largest:
+        elems = elems[::-1]
+    reach = elems[: min(m, elems.size - 1) + 1]
     return float(np.abs(reach - released).min())
+
 
 def _flex_maxk(x: Histogram, k: int, released: float, m: int) -> float:
     bars = sorted(x.items(), reverse=True)  # largest ground point first
@@ -291,7 +297,7 @@ def flexible_error_brute(kind: StatisticKind, x: Histogram, released,
         raise DomainError("flexible_error needs a non-empty histogram")
     if x.size > _BRUTE_COUNT_GUARD:
         raise DomainError(f"brute-force guard: more than {_BRUTE_COUNT_GUARD} elements")
-    if released is None or repr(released) == "undefined":
+    if released is None or released is UNDEFINED:
         return _full_range(x)
     m = _drop_allowance(budget, x.size)
     best = math.inf
@@ -310,8 +316,6 @@ def flexible_error_brute(kind: StatisticKind, x: Histogram, released,
 
 def trlap_pmf_factory(tau: float) -> Callable[[int, int, float], np.ndarray]:
     """Per-bar release pmfs of the truncated-Laplace stage at width tau*|x|."""
-    from .mechanisms import NoiseSpec, trlap_output_pmf
-
     if not 0 < tau < 1:
         raise ParameterError(f"tau must be in (0,1), got {tau}")
 

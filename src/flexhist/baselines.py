@@ -19,7 +19,6 @@ suite.
 
 from __future__ import annotations
 
-import enum
 import math
 from functools import lru_cache
 
@@ -34,14 +33,6 @@ from .hist import (
     eval_statistic,
 )
 from .mechanisms import UNDEFINED, RngStream
-
-
-class BaselineKind(enum.Enum):
-    Exponential = "exponential"
-    PTR = "ptr"
-    SmoothSensitivity = "smooth_sensitivity"
-    BNSHistogram = "bns_histogram"
-    SanPoints = "sanpoints"
 
 
 def _range_bound(x: Histogram) -> int:

@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import IO, Sequence
+from typing import IO, Callable, Sequence
 
 import numpy as np
 
@@ -46,13 +46,61 @@ from .mechanisms import (
 DEFAULT_DELTA = 2.0 ** -20
 DEFAULT_DROP_BUDGET = 0.005
 DEFAULT_SEED = 20260814
-MECHANISMS = ("buckethist", "expmech", "ptr", "smoothsens", "bnshist", "sanpoints")
+DEFAULT_SANPOINTS_ROUNDS = 8
 
 FLAG_APPROX = "approximate reproduction"
 FLAG_NO_CERT = "cert unavailable"
 
 CSV_COLUMNS = ("experiment", "mechanism", "epsilon", "mean_err_pct",
                "mean_flex_err_pct", "stderr_pct", "runs", "flags")
+
+
+@dataclass(frozen=True)
+class Mechanism:
+    """One row of the mechanism table.
+
+    ``release(kind, x, eps, delta, rng, rounds)`` runs the mechanism once;
+    ``flags`` go on every row it produces; ``statistics`` names what it can
+    release.  Each release looks its baseline up in this module's globals at
+    call time, so a wrapper installed over that name sees every call.
+    buckethist has no release here: its parameters and flags come from the
+    config's derivation (see ``_release``).
+    """
+
+    release: Callable | None
+    flags: tuple[str, ...]
+    statistics: frozenset[str]
+
+
+_NUMERIC = frozenset({"max", "min", "maxk", "mode"})
+_ANY = _NUMERIC | {"support"}
+_STABLE = frozenset({"max", "maxk", "mode"})  # PTR radii, smooth sensitivities
+
+MECHANISM_TABLE: dict[str, Mechanism] = {
+    "buckethist": Mechanism(None, (), _ANY),
+    "expmech": Mechanism(
+        lambda kind, x, eps, delta, rng, rounds: exp_mech(kind, x, eps, rng),
+        (), _NUMERIC),
+    "ptr": Mechanism(
+        lambda kind, x, eps, delta, rng, rounds: ptr_mech(kind, x, eps, delta, rng),
+        (), _STABLE),
+    "smoothsens": Mechanism(
+        lambda kind, x, eps, delta, rng, rounds: ss_mech(kind, x, eps, delta, rng),
+        (), _STABLE),
+    "bnshist": Mechanism(
+        lambda kind, x, eps, delta, rng, rounds: bns_mech(kind, x, eps, delta, rng),
+        (), _ANY),
+    "sanpoints": Mechanism(
+        lambda kind, x, eps, delta, rng, rounds: sanpoints_mech(
+            kind, x, eps, delta, rng, k_rounds=rounds),
+        (FLAG_APPROX,), _ANY),
+}
+MECHANISMS = tuple(MECHANISM_TABLE)
+
+
+def check_releasable(name: str, kind: StatisticKind) -> None:
+    if kind.name not in MECHANISM_TABLE[name].statistics:
+        raise ParameterError(f"mechanism {name} cannot release statistic {kind}")
 
 
 @dataclass(frozen=True)
@@ -70,7 +118,7 @@ class ExperimentConfig:
     drop_budget: float = DEFAULT_DROP_BUDGET
     mechanisms: tuple[str, ...] = MECHANISMS
     beta: float | None = None  # None -> bound / 20
-    sanpoints_rounds: int = 8
+    sanpoints_rounds: int = DEFAULT_SANPOINTS_ROUNDS
     scale: float = 1.0
     seed: int = DEFAULT_SEED
     # generator parameters (used according to `generator`)
@@ -102,6 +150,10 @@ class ExperimentConfig:
         unknown = [m for m in self.mechanisms if m not in MECHANISMS]
         if unknown:
             raise ParameterError(f"unknown mechanisms: {', '.join(unknown)}")
+        if self.statistic.name == "support":
+            raise ParameterError("no flexible-error scoring for statistic support")
+        for name in self.mechanisms:
+            check_releasable(name, self.statistic)
         if self.generator not in ("cauchy", "steps", "poisson"):
             raise ParameterError(f"unknown generator {self.generator!r}")
         if self.generator == "steps" and not self.steps:
@@ -290,22 +342,12 @@ def derive_params(cfg: ExperimentConfig, eps: float, n: int) -> tuple[MechParams
 def _release(name: str, cfg: ExperimentConfig, x: Histogram, eps: float,
              rng: RngStream):
     """Run one mechanism once; returns (released value, row flags)."""
-    kind = cfg.statistic
     if name == "buckethist":
         params, flags = derive_params(cfg, eps, x.size)
-        return mech_hbs(kind, x, params, rng), flags
-    if name == "expmech":
-        return exp_mech(kind, x, eps, rng), ()
-    if name == "ptr":
-        return ptr_mech(kind, x, eps, cfg.delta, rng), ()
-    if name == "smoothsens":
-        return ss_mech(kind, x, eps, cfg.delta, rng), ()
-    if name == "bnshist":
-        return bns_mech(kind, x, eps, cfg.delta, rng), ()
-    if name == "sanpoints":
-        return (sanpoints_mech(kind, x, eps, cfg.delta, rng,
-                               k_rounds=cfg.sanpoints_rounds), (FLAG_APPROX,))
-    raise ParameterError(f"unknown mechanism {name!r}")  # pragma: no cover
+        return mech_hbs(cfg.statistic, x, params, rng), flags
+    row = MECHANISM_TABLE[name]
+    return (row.release(cfg.statistic, x, eps, cfg.delta, rng, cfg.sanpoints_rounds),
+            row.flags)
 
 
 def _score(cfg: ExperimentConfig, x: Histogram, truth: int, released):

@@ -1,26 +1,22 @@
-"""Certificate algebra: accuracy and privacy guarantees as checkable values.
+"""Accuracy and privacy guarantees as checkable values.
 
 Accuracy certificates carry (alpha, beta, gamma): the release matches the
 target function applied to *some* input within distortion alpha of the real
 one, up to output error beta, except with probability gamma.  Privacy
-certificates carry (eps, delta).  Composition is bookkeeping over bound
-functions supplied by the mechanism authors; this module ships only bounds
-with a proof behind them and refuses to compose anything else.
+certificates carry (eps, delta).  For the one shipped mechanism, bucketing
+then shifted truncated-Laplace noise, composing the stage bounds gives
+closed forms, and this module states them directly: alpha = tau*t,
+beta = (w/2)*sqrt(d), gamma = 0, and no analytic bound for mode or maxk.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Callable, Optional
+from dataclasses import dataclass, replace
 
-from .distortion import DROP, DistortionKind, drop_move
+from .distortion import DROP, DistortionKind
 from .hist import MAX, MIN, SUPPORT, ParameterError, StatisticKind
-from .mechanisms import BucketSpec, MechParams
-
-
-class CompositionUnavailable(Exception):
-    """No proved bound covers the requested composition."""
+from .mechanisms import MechParams
 
 
 @dataclass(frozen=True)
@@ -58,113 +54,6 @@ class DPCert:
         return f"CERT dp ε={self.eps:.12g} δ={self.delta:.12g}"
 
 
-@dataclass(frozen=True)
-class SensitivityBound:
-    """Monotone bound functions a mechanism/function brings to composition.
-
-    distortion_sens: alpha2 -> input distortion absorbing output distortion
-    alpha2 (must be 0 at 0); error_sens: (beta1, gamma1, alpha2, gamma2) ->
-    output error bound; metric_sens: beta -> statistic change per beta of
-    histogram distance.  Missing entries mean "no proved bound".
-    """
-
-    distortion_sens: Optional[Callable[[float], float]] = None
-    error_sens: Optional[Callable[[float, float, float, float], float]] = None
-    metric_sens: Optional[Callable[[float], float]] = None
-
-    def __post_init__(self) -> None:
-        if self.distortion_sens is not None and self.distortion_sens(0.0) != 0.0:
-            raise ParameterError("distortion sensitivity must vanish at 0")
-
-
-def identity_sensitivity() -> SensitivityBound:
-    """Bounds for the identity map: everything passes through unchanged."""
-
-    def err(beta1: float, gamma1: float, alpha2: float, gamma2: float) -> float:
-        if gamma2 < gamma1:
-            raise CompositionUnavailable("identity cannot shrink the loss probability")
-        return beta1
-
-    return SensitivityBound(
-        distortion_sens=lambda a: a,
-        error_sens=err,
-        metric_sens=lambda b: b,
-    )
-
-
-def deterministic_err_sens(metric_sens: Callable[[float], float]) -> SensitivityBound:
-    """Error sensitivity of a deterministic map with a known metric bound.
-
-    Valid only in the loss-free, undistorted regime (gamma1 = alpha2 =
-    gamma2 = 0), where the worst output error is the metric sensitivity at
-    the incoming error radius.
-    """
-
-    def err(beta1: float, gamma1: float, alpha2: float, gamma2: float) -> float:
-        if gamma1 != 0 or alpha2 != 0 or gamma2 != 0:
-            raise CompositionUnavailable(
-                "deterministic bound only covers gamma1 = alpha2 = gamma2 = 0")
-        return metric_sens(beta1)
-
-    return SensitivityBound(error_sens=err, metric_sens=metric_sens)
-
-
-def trlap_sensitivity() -> SensitivityBound:
-    """Error sensitivity of the truncated-Laplace noise stage.
-
-    Noise only lowers bars, so an incoming error radius beta1 passes through
-    unchanged once the dropped mass is attributed to the mechanism's own
-    drop budget (the alpha2 the caller composes at); loss-free regime only.
-    """
-
-    def err(beta1: float, gamma1: float, alpha2: float, gamma2: float) -> float:
-        if gamma1 != 0 or gamma2 != 0:
-            raise CompositionUnavailable("noise-stage bound only covers the loss-free regime")
-        return beta1
-
-    return SensitivityBound(error_sens=err)
-
-
-def compose_accuracy(c1: AccuracyCert, s1: SensitivityBound, s2: SensitivityBound,
-                     alpha2: float, gamma2: float,
-                     metric: Optional[str] = None) -> AccuracyCert:
-    """Accuracy certificate of a two-stage pipeline.
-
-    Stage 1 holds c1; stage 2 contributes its own distortion budget alpha2
-    and loss probability gamma2.  The input budgets add after translating
-    alpha2 through stage 1's distortion sensitivity; the output error is
-    stage 2's error sensitivity at stage 1's (beta, gamma).
-    """
-    if s1.distortion_sens is None:
-        raise CompositionUnavailable("stage 1 has no distortion sensitivity bound")
-    if s2.error_sens is None:
-        raise CompositionUnavailable("stage 2 has no error sensitivity bound")
-    absorbed = s1.distortion_sens(alpha2)
-    if math.isinf(absorbed):
-        raise CompositionUnavailable("infinite distortion sensitivity")
-    beta = s2.error_sens(c1.beta, c1.gamma, alpha2, gamma2)
-    return AccuracyCert(
-        alpha=c1.alpha + absorbed,
-        beta=beta,
-        gamma=gamma2,
-        distortion=c1.distortion,
-        metric=c1.metric if metric is None else metric,
-    )
-
-
-def dp_postprocess(c: DPCert) -> DPCert:
-    """Post-processing is free: the certificate survives unchanged."""
-    return c
-
-
-def dp_preprocess(pre_is_neighborhood_preserving: bool, c2: DPCert) -> DPCert:
-    """Pre-composition with a map that sends neighbors to neighbors."""
-    if not pre_is_neighborhood_preserving:
-        raise CompositionUnavailable(
-            "pre-stage not neighborhood preserving; composition unavailable")
-    return c2
-
-
 def trlap_delta(eps: float, q: float) -> float:
     """Closed-form delta of the truncated-Laplace release at truncation q."""
     return math.expm1(eps) / (2.0 * math.expm1(eps * q / 2.0))
@@ -188,23 +77,6 @@ def trlap_dp_cert(eps: float, tau: float, n: int) -> DPCert:
     return DPCert(eps=eps, delta=delta)
 
 
-def trlap_dp_cert_relaxed(eps: float, nu: float, tau: float, n: int) -> DPCert:
-    """Variant trading a (1+nu) factor on eps for coverage of tiny inputs.
-
-    Valid whenever eps*nu >= ln(1 + 1/n); delta keeps the closed form at the
-    base eps.
-    """
-    if eps <= 0 or nu <= 0 or tau <= 0 or n <= 0:
-        raise ParameterError("eps, nu, tau, n must be positive")
-    if eps * nu < math.log1p(1.0 / n):
-        raise ParameterError(
-            f"cert unavailable: eps*nu = {eps * nu:g} < ln(1 + 1/n) = {math.log1p(1.0 / n):g}")
-    delta = trlap_delta(eps, tau * n)
-    if delta >= 1:
-        raise ParameterError(f"cert vacuous at these parameters (delta = {delta:g})")
-    return DPCert(eps=(1.0 + nu) * eps, delta=delta)
-
-
 def solve_q(eps: float, delta: float) -> float:
     """Truncation width whose closed-form delta equals the given delta."""
     if eps <= 0 or not 0 < delta < 1:
@@ -212,45 +84,24 @@ def solve_q(eps: float, delta: float) -> float:
     return (2.0 / eps) * math.log1p(math.expm1(eps) / (2.0 * delta))
 
 
-def analytic_metric_sens(kind: StatisticKind) -> SensitivityBound:
-    """Statistic-change-per-histogram-distance bound, where one is proved.
+def buckethist_accuracy_cert(p: MechParams) -> AccuracyCert:
+    """(alpha, beta, 0) for the bucket-then-noise histogram release.
+
+    Bucketing moves every element by at most the cell half-diagonal
+    (w/2)*sqrt(d); the noise only drops elements, at most tau*|x| per
+    bucket over t buckets.
+    """
+    return AccuracyCert(alpha=p.tau * p.t, beta=(p.w / 2.0) * math.sqrt(p.d),
+                        gamma=0.0)
+
+
+def hbs_accuracy_cert(kind: StatisticKind, p: MechParams) -> AccuracyCert:
+    """(alpha, beta, 0) for a statistic released off the noisy histogram.
 
     Max, min and support move by at most the histogram distance itself;
     mode and k-threshold maxima admit no such bound (a hair of mass crossing
     a tie can swing them across the whole range).
     """
-    if kind in (MAX, MIN, SUPPORT):
-        return deterministic_err_sens(lambda b: b)
-    raise ParameterError(f"no analytic bound for statistic {kind}")
-
-
-def bucketing_accuracy_cert(spec: BucketSpec) -> AccuracyCert:
-    """Bucketing moves every element by at most the cell half-diagonal."""
-    return AccuracyCert(alpha=0.0, beta=(spec.w / 2.0) * math.sqrt(spec.d),
-                        gamma=0.0, distortion=DROP, metric="dhist")
-
-
-def buckethist_accuracy_cert(p: MechParams) -> AccuracyCert:
-    """(alpha, beta, 0) for the bucket-then-noise histogram release."""
-    return compose_accuracy(
-        bucketing_accuracy_cert(p.bucket_spec),
-        identity_sensitivity(),
-        trlap_sensitivity(),
-        alpha2=p.tau * p.t,
-        gamma2=0.0,
-    )
-
-
-def hbs_accuracy_cert(kind: StatisticKind, p: MechParams) -> AccuracyCert:
-    """(alpha, beta, 0) for a statistic released off the noisy histogram."""
-    c = buckethist_accuracy_cert(p)
-    return compose_accuracy(c, identity_sensitivity(), analytic_metric_sens(kind),
-                            alpha2=0.0, gamma2=0.0, metric="absolute")
-
-
-def drmv_accuracy_cert(p: MechParams, eta: float) -> AccuracyCert:
-    """Fold the output error into the drop-and-move budget at trade-off eta."""
-    if eta < 0:
-        raise ParameterError("eta must be non-negative")
-    return AccuracyCert(alpha=p.alpha + eta * p.beta, beta=0.0, gamma=0.0,
-                        distortion=drop_move(eta), metric="dhist")
+    if kind not in (MAX, MIN, SUPPORT):
+        raise ParameterError(f"no analytic bound for statistic {kind}")
+    return replace(buckethist_accuracy_cert(p), metric="absolute")

@@ -18,9 +18,19 @@ import sys
 from dataclasses import replace
 from fractions import Fraction
 
-from .audit import AuditInstance, dp_delta_exact, flexible_error
-from .baselines import bns_mech, exp_mech, ptr_mech, sanpoints_mech, ss_mech
-from .bench import DEFAULT_DELTA, DEFAULT_SEED, derive_mech_params, read_config, run_to_csv
+from .audit import AuditInstance, dp_delta_exact, flexible_error, trlap_pmf_factory
+from .bench import (
+    DEFAULT_DELTA,
+    DEFAULT_SANPOINTS_ROUNDS,
+    DEFAULT_SEED,
+    FLAG_NO_CERT,
+    MECHANISM_TABLE,
+    MECHANISMS,
+    check_releasable,
+    derive_mech_params,
+    read_config,
+    run_to_csv,
+)
 from .certificates import (
     buckethist_accuracy_cert,
     hbs_accuracy_cert,
@@ -35,14 +45,7 @@ from .hist import (
     parse_statistic,
     read_histogram,
 )
-from .mechanisms import (
-    UNDEFINED,
-    MechParams,
-    RngStream,
-    mech_hbs,
-    trlap_output_pmf,
-    NoiseSpec,
-)
+from .mechanisms import UNDEFINED, MechParams, RngStream, mech_hbs
 from .transport import DiscreteDistribution, winf_lossy
 
 
@@ -85,6 +88,7 @@ def _cmd_mech_run(args) -> int:
     print(f"mechanism = {args.mech}")
     print(f"statistic = {kind}")
     print(f"input bars = {len(x)}  elements = {x.size}")
+    check_releasable(args.mech, kind)
 
     if args.mech == "buckethist":
         bound = x.space.bound
@@ -106,6 +110,10 @@ def _cmd_mech_run(args) -> int:
             print(trlap_dp_cert(args.eps, params.tau, x.size).line())
         except ParameterError as exc:
             print(f"CERT dp unavailable: {exc}")
+        if FLAG_NO_CERT in flags:
+            print("CERT accuracy unavailable: derived alpha >= 1 "
+                  "(the run clamps it just below 1)")
+            return 0
         print(buckethist_accuracy_cert(params).line(), "(histogram release)")
         try:
             print(hbs_accuracy_cert(kind, params).line(), f"(statistic {kind})")
@@ -113,16 +121,8 @@ def _cmd_mech_run(args) -> int:
             print(f"CERT accuracy for {kind} unavailable: {exc}")
         return 0
 
-    runners = {
-        "expmech": lambda: exp_mech(kind, x, args.eps, rng),
-        "ptr": lambda: ptr_mech(kind, x, args.eps, args.delta, rng),
-        "smoothsens": lambda: ss_mech(kind, x, args.eps, args.delta, rng),
-        "bnshist": lambda: bns_mech(kind, x, args.eps, args.delta, rng),
-        "sanpoints": lambda: sanpoints_mech(kind, x, args.eps, args.delta, rng),
-    }
-    if args.mech not in runners:
-        raise ParameterError(f"unknown mechanism {args.mech!r}")
-    _print_release(runners[args.mech]())
+    _print_release(MECHANISM_TABLE[args.mech].release(
+        kind, x, args.eps, args.delta, rng, DEFAULT_SANPOINTS_ROUNDS))
     return 0
 
 
@@ -140,12 +140,6 @@ def _print_release(released) -> None:
 # audit dp
 
 
-def _trlap_pmf_factory(tau: float):
-    def factory(count: int, input_size: int, eps: float):
-        return trlap_output_pmf(count, NoiseSpec(q=tau * input_size, eps=eps))
-    return factory
-
-
 def _cmd_audit_dp(args) -> int:
     n = args.n
     if n < 2:
@@ -155,7 +149,7 @@ def _cmd_audit_dp(args) -> int:
         ("single-bar", Histogram({0: n}, space), Histogram({0: n - 1}, space)),
         ("two-bar", Histogram({0: n - 1, 1: 1}, space), Histogram({0: n - 1}, space)),
     ]
-    factory = _trlap_pmf_factory(args.tau)
+    factory = trlap_pmf_factory(args.tau)
     eps_grid = [float(t) for t in args.eps_grid.split(",")]
     violated = False
     for eps in eps_grid:
@@ -254,9 +248,7 @@ def build_parser() -> argparse.ArgumentParser:
     mech = sub.add_parser("mech", help="single mechanism invocations")
     mech_sub = mech.add_subparsers(dest="subcommand", required=True)
     mrun = mech_sub.add_parser("run", help="run one mechanism on a histogram file")
-    mrun.add_argument("--mech", required=True,
-                      choices=["buckethist", "expmech", "ptr", "smoothsens",
-                               "bnshist", "sanpoints"])
+    mrun.add_argument("--mech", required=True, choices=MECHANISMS)
     mrun.add_argument("--stat", required=True)
     mrun.add_argument("--k", type=int, default=None)
     mrun.add_argument("--input", required=True, help="histogram text file")

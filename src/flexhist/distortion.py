@@ -234,28 +234,6 @@ def drmv(x: Histogram, y: Histogram, eta: float) -> DrmvResult:
     return DrmvResult(drop_part + eta * move_val, True, z)
 
 
-def distortion_value(kind: DistortionKind, x: Histogram, y: Histogram) -> float:
-    if kind.name == "drop":
-        return drop(x, y)
-    if kind.name == "move":
-        return move(x, y)
-    return drmv(x, y, kind.eta).value
-
-
-def dhat(kind: DistortionKind, x: Histogram, support: Iterable[Histogram]) -> float:
-    """Distortion from x to a distribution: the worst case over its support."""
-    worst = 0.0
-    seen = False
-    for x2 in support:
-        seen = True
-        worst = max(worst, distortion_value(kind, x, x2))
-        if worst == math.inf:
-            break
-    if not seen:
-        raise DomainError("dhat needs a non-empty support")
-    return worst
-
-
 def drop_move_switch(x: Histogram, z: Histogram, y: Histogram) -> FractionalHistogram:
     """Reorder a move-then-drop path into drop-then-move through the same ends.
 

@@ -57,9 +57,6 @@ class RngStream:
         self.seed = seed & _M64
         self._gen = np.random.default_rng(self.seed)
 
-    def spawn(self, *indices: int) -> "RngStream":
-        return RngStream(split_seed(self.seed, *indices))
-
     def uniform(self, size=None):
         return self._gen.random(size)
 

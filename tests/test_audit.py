@@ -161,6 +161,8 @@ def test_flexible_error_examples():
     assert flexible_error(MAX, H({1: 1, 3: 2}), 2.5, 0.0) == 0.5
     assert flexible_error(MODE, H({0: 3, 1: 3}), 1.0, 1 / 6) == 0.0
     assert flexible_error(MODE, H({0: 3, 1: 3}), 1.0, 0.0) == 1.0
+    assert flexible_error(MIN, x, 50.0, 0.25) == 48.0  # drop the 1, land on 2
+    assert flexible_error(MIN, x, 50.0, 0.0) == 49.0
 
 
 def test_flexible_error_undefined_release_scores_full_range():
@@ -183,9 +185,8 @@ def test_flexible_error_validation():
         flexible_error(MAX, H({}), 1.0, 0.1)
     with pytest.raises(ParameterError):
         flexible_error(MAX, H({5: 2}), 1.0, 1.0)
-    for kind in (MIN, SUPPORT):
-        with pytest.raises(ParameterError):
-            flexible_error(kind, H({5: 2}), 1.0, 0.1)
+    with pytest.raises(ParameterError):
+        flexible_error(SUPPORT, H({5: 2}), 1.0, 0.1)
     with pytest.raises(DomainError):
         flexible_error(MAX, Histogram({5: 2}, MetricSpace(1)), UNDEFINED, 0.1)
 
@@ -194,7 +195,7 @@ def test_flexible_error_matches_brute_force():
     rng = random.Random(2026)
     space = MetricSpace(1, 12.0)
     budgets = (0.0, 1 / 8, 1 / 4, 1 / 2, 3 / 4)
-    kinds = [MAX, MODE, maxk(1), maxk(2), maxk(3)]
+    kinds = [MAX, MIN, MODE, maxk(1), maxk(2), maxk(3)]
     for trial in range(40):
         bars = rng.randint(1, 4)
         pts = rng.sample(range(12), bars)

@@ -10,7 +10,6 @@ import pytest
 import scipy.stats
 
 from flexhist.baselines import (
-    BaselineKind,
     bns_hist,
     bns_mech,
     exp_mech,
@@ -388,11 +387,6 @@ def test_sanpoints_mech_caps_rounds_at_occupied_bars():
     x = Histogram({3: 9, 20: 5}, B100)
     out = sanpoints_mech(MAX, x, 50.0, 0.01, RngStream(9), k_rounds=8)
     assert out in (3, 20)
-
-
-def test_baseline_kind_enum_wiring():
-    assert {k.value for k in BaselineKind} == {
-        "exponential", "ptr", "smooth_sensitivity", "bns_histogram", "sanpoints"}
 
 
 def test_all_baselines_deterministic_per_seed():

@@ -1,7 +1,10 @@
 """Config parsing, dataset generators, and the deterministic experiment runner."""
 
+import hashlib
 import io
 import math
+from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
@@ -17,12 +20,21 @@ from flexhist.bench import (
     derive_mech_params,
     gen_dataset,
     parse_config,
+    read_config,
     run_experiment,
     run_to_csv,
     write_csv,
 )
-from flexhist.hist import DomainError, ParameterError, maxk
+from flexhist.hist import MIN, SUPPORT, DomainError, ParameterError, maxk
 from flexhist.mechanisms import RngStream, split_seed
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+
+# sha256 of the run_to_csv bytes, "# " lines included, at datasets = runs = 2
+GOLDEN_CSV_SHA256 = {
+    "exp2": "75d10ab90b83f592d5264c7a31296f19194ed8d0cda408802c29f56fadaa81f3",
+    "exp6": "82bca0b54b5c54d5daf8f70da3810d4e2b9458159c5589f50026053f525f2878",
+}
 
 BASE_CFG = """
 # demo experiment
@@ -104,6 +116,28 @@ def test_config_validation_direct():
         ExperimentConfig(**{**ok, "bound": 0})
     with pytest.raises(ParameterError):
         ExperimentConfig(**{**ok, "mechanisms": ()})
+
+
+def test_config_rejects_statistics_it_cannot_score_or_release():
+    ok = dict(experiment="t", bound=10, generator="poisson", eps_grid=(1.0,))
+    with pytest.raises(ParameterError, match="no flexible-error scoring"):
+        ExperimentConfig(**ok, statistic=SUPPORT, mechanisms=("buckethist",))
+    # the default roster includes ptr and smoothsens, which release no min
+    with pytest.raises(ParameterError, match="ptr cannot release statistic min"):
+        ExperimentConfig(**ok, statistic=MIN)
+    with pytest.raises(ParameterError, match="smoothsens cannot release"):
+        parse_config(BASE_CFG.replace("statistic = max", "statistic = min")
+                     .replace("expmech", "smoothsens"))
+    ExperimentConfig(**ok, statistic=MIN,
+                     mechanisms=("buckethist", "expmech", "bnshist", "sanpoints"))
+
+
+def test_run_experiment_scores_min():
+    cfg = parse_config(BASE_CFG.replace("statistic = max", "statistic = min"))
+    rows, _ = run_experiment(cfg)
+    assert [r.mechanism for r in rows] == ["buckethist"] * 2 + ["expmech"] * 2
+    for r in rows:
+        assert 0.0 <= r.mean_flex_err_pct <= r.mean_err_pct <= 100.0
 
 
 def test_result_row_validation():
@@ -238,6 +272,15 @@ def test_run_experiment_rejects_bad_inputs():
     undefined = _steps_cfg(statistic=maxk(5000), steps=((2, 3),))
     with pytest.raises(DomainError, match="nothing to score"):
         run_experiment(undefined)
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_CSV_SHA256))
+def test_run_to_csv_golden_bytes(name):
+    cfg = replace(read_config(str(CONFIGS / f"{name}.cfg")), datasets=2, runs=2)
+    buf = io.StringIO()
+    run_to_csv(cfg, buf)
+    digest = hashlib.sha256(buf.getvalue().encode("utf-8")).hexdigest()
+    assert digest == GOLDEN_CSV_SHA256[name]
 
 
 def test_write_csv_formatting():

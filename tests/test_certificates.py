@@ -1,4 +1,4 @@
-"""Certificate values, composition bookkeeping, and the closed-form noise delta."""
+"""Certificate values, the closed-form certificates, and the noise delta."""
 
 import math
 
@@ -6,28 +6,16 @@ import pytest
 
 from flexhist.certificates import (
     AccuracyCert,
-    CompositionUnavailable,
     DPCert,
-    SensitivityBound,
-    analytic_metric_sens,
-    bucketing_accuracy_cert,
     buckethist_accuracy_cert,
-    compose_accuracy,
-    deterministic_err_sens,
-    dp_postprocess,
-    dp_preprocess,
-    drmv_accuracy_cert,
     hbs_accuracy_cert,
-    identity_sensitivity,
     solve_q,
     trlap_delta,
     trlap_dp_cert,
-    trlap_dp_cert_relaxed,
-    trlap_sensitivity,
 )
 from flexhist.distortion import DROP, drop_move
 from flexhist.hist import MAX, MIN, MODE, SUPPORT, ParameterError, maxk
-from flexhist.mechanisms import BucketSpec, MechParams
+from flexhist.mechanisms import MechParams
 
 
 # ---------------------------------------------------------------------------
@@ -56,80 +44,6 @@ def test_dp_cert_validation_and_line():
     with pytest.raises(ParameterError):
         DPCert(eps=1.0, delta=1.5)
     assert DPCert(eps=1.0, delta=2.0**-20).line() == "CERT dp ε=1 δ=9.53674316406e-07"
-
-
-def test_sensitivity_bound_must_vanish_at_zero():
-    with pytest.raises(ParameterError):
-        SensitivityBound(distortion_sens=lambda a: a + 1.0)
-
-
-# ---------------------------------------------------------------------------
-# composition
-
-
-def test_identity_sensitivity_passthrough():
-    s = identity_sensitivity()
-    assert s.distortion_sens(0.3) == 0.3
-    assert s.metric_sens(2.0) == 2.0
-    assert s.error_sens(1.5, 0.0, 0.2, 0.1) == 1.5
-    with pytest.raises(CompositionUnavailable):
-        s.error_sens(1.5, 0.2, 0.0, 0.1)  # loss probability cannot shrink
-
-
-def test_deterministic_err_sens_loss_free_only():
-    s = deterministic_err_sens(lambda b: 2.0 * b)
-    assert s.error_sens(3.0, 0.0, 0.0, 0.0) == 6.0
-    for bad in ((3.0, 0.1, 0.0, 0.0), (3.0, 0.0, 0.1, 0.0), (3.0, 0.0, 0.0, 0.1)):
-        with pytest.raises(CompositionUnavailable):
-            s.error_sens(*bad)
-
-
-def test_trlap_sensitivity_passes_error_through():
-    s = trlap_sensitivity()
-    assert s.error_sens(2.5, 0.0, 0.3, 0.0) == 2.5
-    with pytest.raises(CompositionUnavailable):
-        s.error_sens(2.5, 0.1, 0.3, 0.0)
-    assert s.distortion_sens is None
-
-
-def test_compose_accuracy_adds_budgets():
-    c1 = AccuracyCert(alpha=0.1, beta=2.0, gamma=0.0)
-    out = compose_accuracy(c1, identity_sensitivity(), identity_sensitivity(),
-                           alpha2=0.3, gamma2=0.0)
-    assert out.alpha == pytest.approx(0.4, abs=0)
-    assert out.beta == 2.0
-    assert out.gamma == 0.0
-    assert out.distortion == DROP
-
-
-def test_compose_accuracy_takes_stage_two_gamma():
-    c1 = AccuracyCert(alpha=0.0, beta=1.0, gamma=0.0)
-    out = compose_accuracy(c1, identity_sensitivity(), identity_sensitivity(),
-                           alpha2=0.0, gamma2=0.25)
-    assert out.gamma == 0.25
-
-
-def test_compose_accuracy_refuses_missing_bounds():
-    c1 = AccuracyCert(alpha=0.0, beta=1.0, gamma=0.0)
-    with pytest.raises(CompositionUnavailable):
-        compose_accuracy(c1, SensitivityBound(), identity_sensitivity(), 0.1, 0.0)
-    with pytest.raises(CompositionUnavailable):
-        compose_accuracy(c1, identity_sensitivity(), SensitivityBound(), 0.1, 0.0)
-
-
-def test_compose_accuracy_refuses_infinite_absorption():
-    c1 = AccuracyCert(alpha=0.0, beta=1.0, gamma=0.0)
-    blowup = SensitivityBound(distortion_sens=lambda a: math.inf if a > 0 else 0.0)
-    with pytest.raises(CompositionUnavailable):
-        compose_accuracy(c1, blowup, identity_sensitivity(), 0.1, 0.0)
-
-
-def test_dp_composition_rules():
-    c = DPCert(eps=1.0, delta=0.01)
-    assert dp_postprocess(c) is c
-    assert dp_preprocess(True, c) is c
-    with pytest.raises(CompositionUnavailable):
-        dp_preprocess(False, c)
 
 
 # ---------------------------------------------------------------------------
@@ -166,15 +80,6 @@ def test_trlap_dp_cert_vacuous_delta_refused():
         trlap_dp_cert(eps=4.0, tau=0.5, n=1)
 
 
-def test_trlap_dp_cert_relaxed():
-    # eps*nu = 0.1 >= ln(1 + 1/10) ~ 0.0953
-    c = trlap_dp_cert_relaxed(eps=0.5, nu=0.2, tau=0.8, n=10)
-    assert c.eps == pytest.approx(0.6, rel=1e-15)
-    assert c.delta == trlap_delta(0.5, 8.0)
-    with pytest.raises(ParameterError, match="cert unavailable"):
-        trlap_dp_cert_relaxed(eps=0.5, nu=0.1, tau=0.8, n=10)
-
-
 def test_solve_q_frozen_values():
     assert solve_q(1.0, 2.0**-20) == pytest.approx(27.42224479056748, rel=1e-15)
     assert solve_q(0.1, 2.0**-20) == pytest.approx(218.3529221026871, rel=1e-15)
@@ -196,49 +101,54 @@ def test_solve_q_validation():
 
 
 # ---------------------------------------------------------------------------
-# assembled certificates
-
-
-def test_analytic_metric_sens_coverage():
-    for kind in (MAX, MIN, SUPPORT):
-        assert analytic_metric_sens(kind).metric_sens(3.0) == 3.0
-    for kind in (MODE, maxk(5)):
-        with pytest.raises(ParameterError):
-            analytic_metric_sens(kind)
-
-
-def test_bucketing_accuracy_cert():
-    c = bucketing_accuracy_cert(BucketSpec(w=10.0, B=100.0))
-    assert (c.alpha, c.beta, c.gamma) == (0.0, 5.0, 0.0)
-    c2 = bucketing_accuracy_cert(BucketSpec(w=10.0, B=100.0, d=2))
-    assert c2.beta == pytest.approx(5.0 * math.sqrt(2.0), rel=1e-15)
+# closed-form certificates
 
 
 def test_buckethist_accuracy_cert_recovers_params():
     p = MechParams(alpha=0.05, beta=5.0, eps=1.0, B=100.0)
     c = buckethist_accuracy_cert(p)
+    assert c.alpha == p.tau * p.t
     assert c.alpha == pytest.approx(0.05, rel=1e-12)
     assert c.beta == 5.0
     assert c.gamma == 0.0
     assert c.distortion == DROP
+    assert c.metric == "dhist"
+
+
+def test_bucketing_accuracy_cert():
+    # the bucketing stage's error is the cell half-diagonal (w/2)*sqrt(d)
+    p = MechParams(alpha=0.05, beta=5.0, eps=1.0, B=100.0)
+    assert p.bucket_spec.w == 10.0
+    assert buckethist_accuracy_cert(p).beta == 5.0
+    p2 = MechParams(alpha=0.05, beta=5.0 * math.sqrt(2.0), eps=1.0, B=100.0, d=2)
+    assert p2.bucket_spec.w == pytest.approx(10.0, rel=1e-15)
+    c2 = buckethist_accuracy_cert(p2)
+    assert c2.beta == (p2.w / 2.0) * math.sqrt(2.0)
+    assert c2.beta == pytest.approx(5.0 * math.sqrt(2.0), rel=1e-15)
+    assert c2.alpha == p2.tau * p2.t
+    assert c2.gamma == 0.0
+
+
+def test_analytic_metric_sens_coverage():
+    # max, min and support carry the histogram bound over unchanged
+    p = MechParams(alpha=0.05, beta=5.0, eps=1.0, B=100.0)
+    for kind in (MAX, MIN, SUPPORT):
+        c = hbs_accuracy_cert(kind, p)
+        assert (c.alpha, c.beta, c.gamma) == (p.tau * p.t, 5.0, 0.0)
+        assert c.metric == "absolute"
+        assert c.line() == buckethist_accuracy_cert(p).line()
+    for kind in (MODE, maxk(5)):
+        with pytest.raises(ParameterError) as exc:
+            hbs_accuracy_cert(kind, p)
+        assert str(exc.value) == f"no analytic bound for statistic {kind}"
 
 
 def test_hbs_accuracy_cert():
     p = MechParams(alpha=0.05, beta=5.0, eps=1.0, B=100.0)
     c = hbs_accuracy_cert(MAX, p)
+    assert c.alpha == p.tau * p.t
     assert c.alpha == pytest.approx(0.05, rel=1e-12)
     assert c.beta == 5.0
     assert c.metric == "absolute"
     with pytest.raises(ParameterError):
         hbs_accuracy_cert(MODE, p)
-
-
-def test_drmv_accuracy_cert_folds_error_into_budget():
-    p = MechParams(alpha=0.05, beta=5.0, eps=1.0, B=100.0)
-    c = drmv_accuracy_cert(p, eta=0.01)
-    assert c.alpha == pytest.approx(0.1, rel=1e-12)
-    assert c.beta == 0.0
-    assert c.distortion == drop_move(0.01)
-    assert drmv_accuracy_cert(p, eta=0.0).alpha == pytest.approx(0.05, abs=0)
-    with pytest.raises(ParameterError):
-        drmv_accuracy_cert(p, eta=-1.0)

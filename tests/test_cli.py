@@ -62,6 +62,16 @@ def test_bench_run_seed_override_lands_in_metadata(cfg_file, capsys):
     assert "master_seed = 7" in capsys.readouterr().out
 
 
+def test_bench_run_rejects_unreleasable_statistic_before_writing(tmp_path, capsys):
+    cfg = tmp_path / "min.cfg"
+    cfg.write_text(CFG.replace("statistic = max", "statistic = min")
+                   .replace("expmech", "ptr"))
+    out = tmp_path / "rows.csv"
+    assert main(["bench", "run", "--config", str(cfg), "--out", str(out)]) == 2
+    assert "ptr cannot release statistic min" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_bench_run_bad_config(tmp_path, capsys):
     bad = tmp_path / "bad.cfg"
     bad.write_text(CFG + "wat = 1\n")
@@ -88,6 +98,22 @@ def test_mech_run_buckethist_with_certificates(hist_file, capsys):
     assert "(statistic max)" in out
 
 
+def test_mech_run_buckethist_cert_lines_golden(hist_file, capsys):
+    dp = "CERT dp ε=1 δ=9.53674316406e-07"
+    acc = "CERT accuracy α=0.342778059882 β=0.4 γ=0 distortion=drop"
+    expected = {
+        "max": [dp, f"{acc} (histogram release)", f"{acc} (statistic max)"],
+        "mode": [dp, f"{acc} (histogram release)",
+                 "CERT accuracy for mode unavailable: "
+                 "no analytic bound for statistic mode"],
+    }
+    for stat, want in expected.items():
+        assert main(["mech", "run", "--mech", "buckethist", "--stat", stat,
+                     "--input", hist_file, "--eps", "1.0"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert [l for l in lines if l.startswith("CERT")] == want
+
+
 def test_mech_run_buckethist_tiny_input_flags(tmp_path, capsys):
     path = tmp_path / "tiny.txt"
     path.write_text("3 2\n7 1\n")
@@ -96,6 +122,9 @@ def test_mech_run_buckethist_tiny_input_flags(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "flag: cert unavailable" in out
     assert "CERT dp unavailable:" in out
+    # the clamped alpha certifies nothing, so no accuracy guarantee is printed
+    assert "CERT accuracy unavailable: derived alpha >= 1" in out
+    assert "CERT accuracy α=" not in out
 
 
 def test_mech_run_buckethist_support_statistic(tmp_path, capsys):
@@ -163,6 +192,14 @@ def test_audit_dp_rejects_tiny_n(capsys):
     assert "at least 2" in capsys.readouterr().err
 
 
+def test_audit_dp_rejects_tau_the_mechanism_rejects(capsys):
+    assert main(["audit", "dp", "--tau", "1.5", "--eps-grid", "1.0",
+                 "--n", "4"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "tau must be in (0,1)" in captured.err
+
+
 # ---------------------------------------------------------------------------
 # audit flex
 
@@ -189,6 +226,13 @@ def test_audit_flex_limit_gate(flex_file, capsys):
     assert capsys.readouterr().out.strip().endswith("limit=3 OK")
     assert main(ok + ["--limit", "1"]) == 1
     assert capsys.readouterr().out.strip().endswith("limit=1 VIOLATION")
+
+
+def test_audit_flex_min(flex_file, capsys):
+    assert main(["audit", "flex", "--stat", "min", "--input", flex_file,
+                 "--bound", "101", "--released", "5", "--budget", "0.5"]) == 0
+    assert capsys.readouterr().out.strip() == (
+        "AUDIT flex stat=min released=5 budget=0.5 flexible_error=2")
 
 
 def test_audit_flex_undefined_release_scores_the_range(flex_file, capsys):

@@ -8,11 +8,8 @@ import pytest
 
 from flexhist.distortion import (
     DROP,
-    MOVE,
     DistortionKind,
     FractionalHistogram,
-    dhat,
-    distortion_value,
     drmv,
     drop,
     drop_move,
@@ -188,26 +185,6 @@ def test_drmv_quasi_metric_triangle():
         total = drmv(x, z, eta).value
         via = drmv(x, y, eta).value + (drmv(y, z, eta).value if y.size else 0.0)
         assert total <= via + 1e-9
-
-
-# ---------------------------------------------------------------------------
-# dhat
-
-
-def test_dhat_examples():
-    x = H({0: 2, 5: 2})
-    assert dhat(DROP, x, [x]) == 0.0
-    assert dhat(DROP, x, [x, H({0: 1, 5: 2})]) == 0.25
-    assert dhat(DROP, x, [H({0: 2, 5: 2, 7: 1})]) == math.inf
-    with pytest.raises(DomainError):
-        dhat(DROP, x, [])
-
-
-def test_distortion_value_dispatch():
-    x, y = H({0: 2}), H({0: 1})
-    assert distortion_value(DROP, x, y) == 0.5
-    assert distortion_value(MOVE, x, y) == math.inf
-    assert distortion_value(drop_move(1.0), x, y) == 0.5
 
 
 # ---------------------------------------------------------------------------

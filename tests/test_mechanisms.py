@@ -73,13 +73,6 @@ def test_rng_stream_same_seed_same_draws():
     assert np.array_equal(a.integers(0, 50, 16), b.integers(0, 50, 16))
 
 
-def test_rng_stream_spawn_matches_manual_split():
-    root = RngStream(99)
-    child = root.spawn(4, 2)
-    assert child.seed == split_seed(99, 4, 2)
-    assert np.array_equal(child.uniform(8), RngStream(split_seed(99, 4, 2)).uniform(8))
-
-
 def test_rng_stream_simple_draws():
     rng = RngStream(7)
     u = rng.uniform(1000)
