@@ -184,9 +184,11 @@ def dp_delta_exact(inst: AuditInstance, eps: float) -> float:
 
 
 def _drop_allowance(budget: float, n: int) -> int:
+    """Largest m with m/n <= budget + ulp(budget)/2: the float stands for
+    every real that rounds to it, so the float nearest k/n allows k drops."""
     if not 0 <= budget < 1:
         raise ParameterError(f"drop budget must be in [0,1), got {budget}")
-    return int(math.floor(budget * n + 1e-9))
+    return math.floor((Fraction(budget) + Fraction(math.ulp(budget)) / 2) * n)
 
 
 def _full_range(x: Histogram) -> float:

@@ -397,17 +397,10 @@ def run_experiment(cfg: ExperimentConfig, threads: int = 1
                               f"input, nothing to score against") from exc
 
     tasks = [(d, r) for d in range(cfg.datasets) for r in range(cfg.runs)]
-    cells: dict[tuple[int, int], list] = {}
-    if threads == 1:
-        for d, r in tasks:
-            cells[(d, r)] = _run_cell(cfg, datasets[d], truths[d], d, r)
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            futures = {(d, r): pool.submit(_run_cell, cfg, datasets[d],
-                                           truths[d], d, r)
-                       for d, r in tasks}
-        for key, fut in futures.items():
-            cells[key] = fut.result()
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        cells = list(pool.map(
+            lambda task: _run_cell(cfg, datasets[task[0]], truths[task[0]], *task),
+            tasks))
 
     pct = 100.0 / cfg.bound
     total = cfg.datasets * cfg.runs
@@ -418,8 +411,8 @@ def run_experiment(cfg: ExperimentConfig, threads: int = 1
             plains = np.empty(total)
             flexes = np.empty(total)
             flags: set[str] = set()
-            for i, (d, r) in enumerate(tasks):  # fixed order: determinism
-                plain, flex, cell_flags = cells[(d, r)][idx]
+            for i, cell in enumerate(cells):  # fixed task order: determinism
+                plain, flex, cell_flags = cell[idx]
                 plains[i] = plain
                 flexes[i] = flex
                 flags.update(cell_flags)

@@ -26,7 +26,7 @@ from .hist import (
     PointLike,
     as_point,
 )
-from .transport import DiscreteDistribution, _FlowNet, winf, winf_lossy_witness
+from .transport import DiscreteDistribution, _threshold_flow, winf, winf_lossy_witness
 
 
 @dataclass(frozen=True)
@@ -125,11 +125,6 @@ class FractionalHistogram:
 AnyHistogram = Union[Histogram, FractionalHistogram]
 
 
-def _normalized(x: AnyHistogram) -> DiscreteDistribution:
-    total = x.size
-    return DiscreteDistribution([(g, Fraction(m) / total) for g, m in x.items()], x.space)
-
-
 def drop(x: AnyHistogram, y: AnyHistogram) -> float:
     """Fraction of x's elements removed to reach y; +inf if y adds anywhere."""
     if x.space != y.space:
@@ -153,12 +148,12 @@ def move(x: AnyHistogram, y: AnyHistogram) -> float:
         return math.inf
     if x.size == 0:
         return 0.0
-    return winf(_normalized(x), _normalized(y))
+    return winf(DiscreteDistribution.from_histogram(x),
+                DiscreteDistribution.from_histogram(y))
 
 
 class DrmvResult(NamedTuple):
     value: float
-    exact: bool
     witness: Optional[Histogram]  # surviving sub-histogram z realizing the value
 
 
@@ -170,47 +165,11 @@ def _min_move_flow(x: Histogram, y: Histogram) -> tuple[float, Histogram]:
     pairwise distance threshold at which that flow saturates.
     """
     xs = list(x.items())
-    ys = list(y.items())
-    space = x.space
-    d2 = [[space.dist2_exact(a, b) for b, _ in ys] for a, _ in xs]
-    candidates = sorted({Fraction(0)} | {v for row in d2 for v in row})
-    demand = Fraction(y.size)
-
-    def saturates(t2: Fraction, want_flow: bool = False):
-        nx, ny = len(xs), len(ys)
-        net = _FlowNet(nx + ny + 2)
-        s, t = nx + ny, nx + ny + 1
-        for i, (_, c) in enumerate(xs):
-            net.add(s, i, Fraction(c))
-        for j, (_, c) in enumerate(ys):
-            net.add(nx + j, t, Fraction(c))
-        for i in range(nx):
-            for j in range(ny):
-                if d2[i][j] <= t2:
-                    net.add(i, nx + j, demand)
-        ok = net.max_flow(s, t) == demand
-        if not want_flow:
-            return ok, None
-        marginal = [Fraction(0)] * nx
-        for j in range(ny):
-            for v, c in net.cap[nx + j].items():
-                if 0 <= v < nx and c > 0:  # residual back-edge = shipped amount
-                    marginal[v] += c
-        return ok, marginal
-
-    lo, hi = 0, len(candidates) - 1
-    if not saturates(candidates[0])[0]:
-        while lo + 1 < hi:  # complete graph (last candidate) always saturates
-            mid = (lo + hi) // 2
-            if saturates(candidates[mid])[0]:
-                hi = mid
-            else:
-                lo = mid
-    else:
-        hi = 0
-    _, marginal = saturates(candidates[hi], want_flow=True)
-    z = Histogram({xs[i][0]: int(m) for i, m in enumerate(marginal) if m > 0}, space)
-    return math.sqrt(float(candidates[hi])), z
+    t2, flow = _threshold_flow(xs, list(y.items()), x.space, Fraction(y.size))
+    kept: dict[Point, int] = {}
+    for (i, _j), m in flow.items():
+        kept[xs[i][0]] = kept.get(xs[i][0], 0) + int(m)
+    return math.sqrt(float(t2)), Histogram(kept, x.space)
 
 
 def drmv(x: Histogram, y: Histogram, eta: float) -> DrmvResult:
@@ -226,12 +185,12 @@ def drmv(x: Histogram, y: Histogram, eta: float) -> DrmvResult:
     if x.size == 0:
         raise DomainError("drmv needs a non-empty source histogram")
     if y.size > x.size:
-        return DrmvResult(math.inf, True, None)
+        return DrmvResult(math.inf, None)
     drop_part = float(Fraction(x.size - y.size, x.size))
     if y.size == 0:
-        return DrmvResult(drop_part, True, Histogram({}, x.space))
+        return DrmvResult(drop_part, Histogram({}, x.space))
     move_val, z = _min_move_flow(x, y)
-    return DrmvResult(drop_part + eta * move_val, True, z)
+    return DrmvResult(drop_part + eta * move_val, z)
 
 
 def drop_move_switch(x: Histogram, z: Histogram, y: Histogram) -> FractionalHistogram:
@@ -255,7 +214,8 @@ def drop_move_switch(x: Histogram, z: Histogram, y: Histogram) -> FractionalHist
     a2 = Fraction(z.size - y.size, z.size)
     if a2 >= 1:
         raise DomainError("drop(z, y) must be < 1")
-    _, coupling = winf_lossy_witness(_normalized(x), _normalized(z), 0.0)
+    _, coupling = winf_lossy_witness(DiscreteDistribution.from_histogram(x),
+                                     DiscreteDistribution.from_histogram(z), 0.0)
     keep = 1 - a2  # = |y| / |z|
     first: dict[Point, Fraction] = {}
     for gx, gz, m in coupling.cells:

@@ -7,14 +7,16 @@ capacities Q) reaches ``1 - gamma``; the remaining mass is parked on
 zero-distance diagonal cells, charging the marginal-deviation budget only.
 The infimum over beta is attained on the set of pairwise distances (plus 0),
 so a binary search over that candidate set with an exact max-flow
-feasibility test gives the exact value.
+feasibility test gives the exact value.  The same threshold-flow search,
+on integer counts, answers the move term of ``distortion.drmv``.
 
 All flow arithmetic is exact ``Fraction`` arithmetic: masses coming from
 histograms are exact rationals, and float masses convert to Fractions
 exactly, so the feasibility predicate never suffers roundoff.  Distances are
 compared through exact squared distances; only the final square root is a
 float.  The average-case variant ships mass ``1 - theta`` by successive
-shortest augmenting paths (optimal at every intermediate shipped mass).
+shortest augmenting paths (optimal at every intermediate shipped mass) on
+the same flow network, with edge costs added.
 """
 
 from __future__ import annotations
@@ -67,6 +69,7 @@ class DiscreteDistribution:
 
     @classmethod
     def from_histogram(cls, x: Histogram) -> "DiscreteDistribution":
+        """x normalised to mass 1; also takes a ``FractionalHistogram``."""
         if x.size == 0:
             raise DomainError("cannot normalise an empty histogram")
         n = x.size
@@ -138,19 +141,40 @@ def tv_distance(p: DiscreteDistribution, q: DiscreteDistribution) -> float:
 
 
 # ---------------------------------------------------------------------------
-# exact max-flow (Edmonds-Karp on Fraction capacities)
+# exact flow network (Fraction capacities, optional float edge costs)
 
 
 class _FlowNet:
     def __init__(self, n: int):
         self.n = n
         self.cap: list[dict[int, Fraction]] = [dict() for _ in range(n)]
+        self.cost: list[dict[int, float]] = [dict() for _ in range(n)]
 
-    def add(self, u: int, v: int, c: Fraction) -> None:
+    def add(self, u: int, v: int, c: MassLike, w: float = 0.0) -> None:
         self.cap[u][v] = self.cap[u].get(v, Fraction(0)) + c
         self.cap[v].setdefault(u, Fraction(0))
+        self.cost[u][v] = w
+        self.cost[v][u] = -w
+
+    def augment(self, parent: list[int], s: int, t: int,
+                limit: Fraction | None = None) -> tuple[Fraction, float]:
+        """Push the bottleneck (at most ``limit``) along the parent path s -> t;
+        returns the pushed amount and the path's cost."""
+        path = []
+        v = t
+        while v != s:
+            path.append((parent[v], v))
+            v = parent[v]
+        pushed = min(self.cap[u][v] for u, v in path)
+        if limit is not None:
+            pushed = min(limit, pushed)
+        for u, v in path:
+            self.cap[u][v] -= pushed
+            self.cap[v][u] += pushed
+        return pushed, sum(self.cost[u][v] for u, v in path)
 
     def max_flow(self, s: int, t: int) -> Fraction:
+        """Edmonds-Karp: shortest augmenting paths by breadth-first search."""
         total = Fraction(0)
         while True:
             parent = [-1] * self.n
@@ -164,51 +188,71 @@ class _FlowNet:
                         queue.append(v)
             if parent[t] == -1:
                 return total
-            bottleneck = None
-            v = t
-            while v != s:
-                u = parent[v]
-                c = self.cap[u][v]
-                bottleneck = c if bottleneck is None else min(bottleneck, c)
-                v = u
-            v = t
-            while v != s:
-                u = parent[v]
-                self.cap[u][v] -= bottleneck
-                self.cap[v][u] += bottleneck
-                v = u
-            total += bottleneck
+            total += self.augment(parent, s, t)[0]
 
 
-def _pair_dist2(p: DiscreteDistribution, q: DiscreteDistribution) -> list[list[Fraction]]:
-    space = p.space
-    return [[space.dist2_exact(a, b) for b, _ in q.atoms] for a, _ in p.atoms]
+def _bipartite(src_caps: Sequence[MassLike], dst_caps: Sequence[MassLike],
+               pairs: Iterable[tuple[int, int, float]]) -> tuple[_FlowNet, int, int]:
+    """Network s -> src i -> dst j -> t over the (i, j, cost) pairs.
+
+    A pair's capacity is the total dst capacity, so it never binds before
+    the sink edges do.
+    """
+    ns, nd = len(src_caps), len(dst_caps)
+    net = _FlowNet(ns + nd + 2)
+    s, t = ns + nd, ns + nd + 1
+    for i, c in enumerate(src_caps):
+        net.add(s, i, c)
+    for j, c in enumerate(dst_caps):
+        net.add(ns + j, t, c)
+    wide = sum(dst_caps)
+    for i, j, w in pairs:
+        net.add(i, ns + j, wide, w)
+    return net, s, t
 
 
-def _transportable(p: DiscreteDistribution, q: DiscreteDistribution,
-                   d2: list[list[Fraction]], beta2: Fraction,
-                   want_flow: bool = False):
-    """Max mass routable using only pairs with squared distance <= beta2."""
-    np_, nq = len(p.atoms), len(q.atoms)
-    net = _FlowNet(np_ + nq + 2)
-    s, t = np_ + nq, np_ + nq + 1
-    for i, (_, m) in enumerate(p.atoms):
-        net.add(s, i, m)
-    for j, (_, m) in enumerate(q.atoms):
-        net.add(np_ + j, t, m)
-    for i in range(np_):
-        for j in range(nq):
-            if d2[i][j] <= beta2:
-                net.add(i, np_ + j, Fraction(2))  # any cap >= 1 is unbounded here
-    value = net.max_flow(s, t)
-    if not want_flow:
-        return value, None
-    flow: dict[tuple[int, int], Fraction] = {}
-    for j in range(nq):
-        for v, c in net.cap[np_ + j].items():
-            if 0 <= v < np_ and c > 0:  # residual back-edge = shipped amount
-                flow[(v, j)] = c
-    return value, flow
+def _threshold_flow(src: Sequence[tuple[Point, MassLike]],
+                    dst: Sequence[tuple[Point, MassLike]],
+                    space: MetricSpace, need: Fraction
+                    ) -> tuple[Fraction, dict[tuple[int, int], Fraction]]:
+    """Smallest squared radius at which mass ``need`` routes from src to dst.
+
+    ``src`` and ``dst`` are (point, capacity) pairs, and only pairs within
+    the radius carry flow.  The answer is 0 or a pairwise squared distance,
+    so a binary search over those candidates finds it; the largest candidate
+    (the complete graph) must route ``need``.  Returns the radius and a
+    maximum flow there as {(src index, dst index): mass}, sorted by key.
+    """
+    d2 = [[space.dist2_exact(a, b) for b, _ in dst] for a, _ in src]
+    candidates = sorted({Fraction(0)} | {v for row in d2 for v in row})
+    src_caps = [c for _, c in src]
+    dst_caps = [c for _, c in dst]
+
+    def solve(k: int) -> tuple[Fraction, _FlowNet]:
+        beta2 = candidates[k]
+        net, s, t = _bipartite(src_caps, dst_caps,
+                               ((i, j, 0.0) for i, row in enumerate(d2)
+                                for j, v in enumerate(row) if v <= beta2))
+        return net.max_flow(s, t), net
+
+    lo, hi, best = 0, len(candidates) - 1, None
+    routed, net = solve(0)
+    if routed >= need:
+        hi, best = 0, net
+    while lo + 1 < hi:
+        mid = (lo + hi) // 2
+        routed, net = solve(mid)
+        if routed >= need:
+            hi, best = mid, net
+        else:
+            lo = mid
+    if best is None:  # the answer is the largest candidate, which no probe visits
+        _, best = solve(hi)
+    ns = len(src)
+    back = [best.cap[ns + j] for j in range(len(dst))]  # residual back-edges
+    flow = {(i, j): b[i] for i in range(ns) for j, b in enumerate(back)
+            if b.get(i, 0) > 0}  # = shipped amounts, in (i, j) order
+    return candidates[hi], flow
 
 
 def _check_gamma(gamma: float) -> Fraction:
@@ -217,31 +261,9 @@ def _check_gamma(gamma: float) -> Fraction:
     return Fraction(gamma)
 
 
-def _lossy_search(p: DiscreteDistribution, q: DiscreteDistribution, gamma: float):
-    """Smallest candidate beta (as squared Fraction) admitting mass 1 - gamma."""
-    if p.space != q.space:
-        raise DomainError("transport across different spaces")
-    g = _check_gamma(gamma)
-    need = 1 - g - _FUZZ
-    d2 = _pair_dist2(p, q)
-    candidates = sorted({Fraction(0)} | {v for row in d2 for v in row})
-    lo, hi = 0, len(candidates) - 1
-    # largest candidate always routes everything through the complete graph
-    if _transportable(p, q, d2, candidates[0])[0] >= need:
-        return candidates[0], d2
-    while lo + 1 < hi:
-        mid = (lo + hi) // 2
-        if _transportable(p, q, d2, candidates[mid])[0] >= need:
-            hi = mid
-        else:
-            lo = mid
-    return candidates[hi], d2
-
-
 def winf_lossy(p: DiscreteDistribution, q: DiscreteDistribution, gamma: float) -> float:
     """gamma-lossy worst-case transport distance between p and q."""
-    beta2, _ = _lossy_search(p, q, gamma)
-    return math.sqrt(float(beta2))
+    return winf_lossy_witness(p, q, gamma)[0]
 
 
 def winf(p: DiscreteDistribution, q: DiscreteDistribution) -> float:
@@ -252,11 +274,13 @@ def winf(p: DiscreteDistribution, q: DiscreteDistribution) -> float:
 def winf_lossy_witness(p: DiscreteDistribution, q: DiscreteDistribution,
                        gamma: float) -> tuple[float, Coupling]:
     """The lossy distance together with an optimal coupling achieving it."""
-    beta2, d2 = _lossy_search(p, q, gamma)
-    _, flow = _transportable(p, q, d2, beta2, want_flow=True)
+    if p.space != q.space:
+        raise DomainError("transport across different spaces")
+    need = 1 - _check_gamma(gamma) - _FUZZ
+    beta2, flow = _threshold_flow(p.atoms, q.atoms, p.space, need)
     cells: list[tuple[Point, Point, Fraction]] = []
     shipped = [Fraction(0)] * len(p.atoms)
-    for (i, j), m in sorted(flow.items()):
+    for (i, j), m in flow.items():
         cells.append((p.atoms[i][0], q.atoms[j][0], m))
         shipped[i] += m
     for i, (pt, mass) in enumerate(p.atoms):
@@ -292,27 +316,11 @@ def w_avg_lossy(p: DiscreteDistribution, q: DiscreteDistribution, theta: float) 
 def _min_cost_partial(p: DiscreteDistribution, q: DiscreteDistribution,
                       target: Fraction) -> float:
     space = p.space
-    np_, nq = len(p.atoms), len(q.atoms)
-    n = np_ + nq + 2
-    s, t = np_ + nq, np_ + nq + 1
-
-    cap: list[dict[int, Fraction]] = [dict() for _ in range(n)]
-    cost: list[dict[int, float]] = [dict() for _ in range(n)]
-
-    def add(u: int, v: int, c: Fraction, w: float) -> None:
-        cap[u][v] = c
-        cap[v][u] = Fraction(0)
-        cost[u][v] = w
-        cost[v][u] = -w
-
-    for i, (_, m) in enumerate(p.atoms):
-        add(s, i, m, 0.0)
-    for j, (_, m) in enumerate(q.atoms):
-        add(np_ + j, t, m, 0.0)
-    for i, (a, _) in enumerate(p.atoms):
-        for j, (b, _) in enumerate(q.atoms):
-            add(i, np_ + j, Fraction(2), space.distance(a, b))
-
+    net, s, t = _bipartite([m for _, m in p.atoms], [m for _, m in q.atoms],
+                           ((i, j, space.distance(a, b))
+                            for i, (a, _) in enumerate(p.atoms)
+                            for j, (b, _) in enumerate(q.atoms)))
+    n = net.n
     potential = [0.0] * n  # all raw costs >= 0, so Dijkstra works from the start
     shipped = Fraction(0)
     total_cost = 0.0
@@ -325,10 +333,10 @@ def _min_cost_partial(p: DiscreteDistribution, q: DiscreteDistribution,
             d, u = heapq.heappop(pq)
             if d > dist[u] + 1e-15:
                 continue
-            for v, c in cap[u].items():
+            for v, c in net.cap[u].items():
                 if c <= 0:
                     continue
-                nd = d + cost[u][v] + potential[u] - potential[v]
+                nd = d + net.cost[u][v] + potential[u] - potential[v]
                 if nd < dist[v] - 1e-15:
                     dist[v] = nd
                     prev[v] = u
@@ -338,20 +346,7 @@ def _min_cost_partial(p: DiscreteDistribution, q: DiscreteDistribution,
         for u in range(n):
             if dist[u] < math.inf:
                 potential[u] += dist[u]
-        bottleneck = target - shipped
-        v = t
-        while v != s:
-            u = prev[v]
-            bottleneck = min(bottleneck, cap[u][v])
-            v = u
-        v = t
-        path_cost = 0.0
-        while v != s:
-            u = prev[v]
-            cap[u][v] -= bottleneck
-            cap[v][u] += bottleneck
-            path_cost += cost[u][v]
-            v = u
-        total_cost += path_cost * float(bottleneck)
-        shipped += bottleneck
+        pushed, path_cost = net.augment(prev, s, t, target - shipped)
+        total_cost += path_cost * float(pushed)
+        shipped += pushed
     return total_cost

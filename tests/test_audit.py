@@ -6,9 +6,12 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from flexhist.audit import (
     AuditInstance,
+    _drop_allowance,
     brute_winf_lossy,
     check_drop_witness,
     dp_delta_exact,
@@ -163,6 +166,22 @@ def test_flexible_error_examples():
     assert flexible_error(MODE, H({0: 3, 1: 3}), 1.0, 0.0) == 1.0
     assert flexible_error(MIN, x, 50.0, 0.25) == 48.0  # drop the 1, land on 2
     assert flexible_error(MIN, x, 50.0, 0.0) == 49.0
+
+
+@pytest.mark.parametrize("budget, n, allowed", [
+    (1 / 6, 6, 1), (0.3, 10, 3), (0.7, 10, 7),
+    (0.29999999999, 10, 2),  # 2.9999999999 budgeted drops allow 2, not 3
+    (0.005, 200, 1), (0.005, 199, 0),
+])
+def test_drop_allowance_pins(budget, n, allowed):
+    assert _drop_allowance(budget, n) == allowed
+
+
+@given(st.floats(0.0, 1.0, exclude_max=True), st.integers(1, 10**9))
+def test_drop_allowance_brackets_the_float_exactly(budget, n):
+    m = _drop_allowance(budget, n)
+    top = Fraction(budget) + Fraction(math.ulp(budget)) / 2  # largest real rounding to budget
+    assert Fraction(m, n) <= top < Fraction(m + 1, n)
 
 
 def test_flexible_error_undefined_release_scores_full_range():

@@ -235,6 +235,16 @@ def test_audit_flex_min(flex_file, capsys):
         "AUDIT flex stat=min released=5 budget=0.5 flexible_error=2")
 
 
+def test_audit_flex_budget_just_below_a_drop_count(tmp_path, capsys):
+    path = tmp_path / "flex.txt"
+    path.write_text("0 7\n9 3\n")
+    # 0.29999999999 * 10 drops allow 2, which leaves a 9 in the data
+    assert main(["audit", "flex", "--stat", "max", "--input", str(path),
+                 "--released", "0", "--budget", "0.29999999999"]) == 0
+    assert capsys.readouterr().out.strip() == (
+        "AUDIT flex stat=max released=0 budget=0.29999999999 flexible_error=9")
+
+
 def test_audit_flex_undefined_release_scores_the_range(flex_file, capsys):
     assert main(["audit", "flex", "--stat", "max", "--input", flex_file,
                  "--bound", "101", "--released", "undefined"]) == 0

@@ -113,7 +113,6 @@ def test_drmv_examples():
     x = Histogram({0: 1, 100: 1}, big)
     r = drmv(x, Histogram({1: 1}, big), eta=1.0)
     assert r.value == pytest.approx(1.5, abs=1e-12)  # drop the far point, move 0 -> 1
-    assert r.exact
     assert r.witness == Histogram({0: 1}, big)
     assert drmv(x, x, 0.3).value == 0.0
     assert drmv(Histogram({0: 1}, big), Histogram({0: 2}, big), 1.0).value == math.inf
@@ -146,9 +145,19 @@ def _drmv_brute(x, y, eta):
     for counts in itertools.product(*[range(c + 1) for _, c in bars]):
         if sum(counts) != y.size:
             continue
-        z = H({g: c for (g, _), c in zip(bars, counts) if c > 0})
+        z = H({g: c for (g, _), c in zip(bars, counts) if c > 0}, x.space)
         best = min(best, move(z, y))
     return drop_part + eta * best
+
+
+def _assert_drmv_matches_brute(x, y, eta):
+    r = drmv(x, y, eta)
+    assert r.value == pytest.approx(_drmv_brute(x, y, eta), abs=1e-9)
+    if r.witness is not None and r.witness.size:
+        assert all(c <= x.count(g) for g, c in r.witness.items())
+        assert r.witness.size == y.size
+        assert r.value == pytest.approx(
+            (x.size - y.size) / x.size + eta * move(r.witness, y), abs=1e-9)
 
 
 def test_drmv_matches_enumeration():
@@ -164,15 +173,18 @@ def test_drmv_matches_enumeration():
             shift = rng.choice([-1, 0, 1])
             tgt = min(7, max(0, g[0] + shift))
             moved[tgt] = moved.get(tgt, 0) + c
-        y = H(moved)
-        eta = rng.choice([0.0, 0.5, 1.0, 2.0])
-        r = drmv(x, y, eta)
-        assert r.value == pytest.approx(_drmv_brute(x, y, eta), abs=1e-9)
-        if r.witness is not None and r.witness.size:
-            assert all(c <= x.count(g) for g, c in r.witness.items())
-            assert r.witness.size == y.size
-            assert r.value == pytest.approx(
-                (x.size - y.size) / x.size + eta * move(r.witness, y), abs=1e-9)
+        _assert_drmv_matches_brute(x, H(moved), rng.choice([0.0, 0.5, 1.0, 2.0]))
+    # 2-D: distances are square roots of sums of squares, so the candidate
+    # radii are no longer the coordinate gaps
+    plane = MetricSpace(2, 10.0)
+
+    def point():
+        return (rng.randrange(4), rng.randrange(4))
+
+    for _ in range(40):
+        x = H({point(): rng.randint(1, 3) for _ in range(rng.randint(1, 3))}, plane)
+        y = H({point(): rng.randint(1, 2) for _ in range(rng.randint(1, 3))}, plane)
+        _assert_drmv_matches_brute(x, y, rng.choice([0.0, 0.5, 1.0, 2.0]))
 
 
 def test_drmv_quasi_metric_triangle():

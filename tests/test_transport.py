@@ -107,6 +107,15 @@ def test_winf_lossy_examples():
     assert winf_lossy(p, delta(0), 0.25) == 1.0
 
 
+def test_winf_lossy_fuzz_boundary():
+    # 1/2 of p's mass must move 5 unless the loss covers it; the 1e-12 slack
+    # (_FUZZ) absorbs a shortfall of 1e-13 but not one of 1e-11
+    p, q = dist([(0, Fraction(1, 2)), (5, Fraction(1, 2))]), delta(0)
+    assert winf_lossy(p, q, 0.5) == 0.0
+    assert winf_lossy(p, q, 0.5 - 1e-13) == 0.0
+    assert winf_lossy(p, q, 0.5 - 1e-11) == 5.0
+
+
 def test_winf_lossy_gamma_validation():
     with pytest.raises(DomainError):
         winf_lossy(delta(0), delta(1), -0.1)
