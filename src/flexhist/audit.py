@@ -12,6 +12,7 @@ import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 from typing import Callable, Sequence
 
 import numpy as np
@@ -183,12 +184,16 @@ def dp_delta_exact(inst: AuditInstance, eps: float) -> float:
 # flexible error under a drop budget
 
 
-def _drop_allowance(budget: float, n: int) -> int:
+def _drop_cap(budget: float, n: int) -> int:
     """Largest m with m/n <= budget + ulp(budget)/2: the float stands for
     every real that rounds to it, so the float nearest k/n allows k drops."""
+    return math.floor((Fraction(budget) + Fraction(math.ulp(budget)) / 2) * n)
+
+
+def _drop_allowance(budget: float, n: int) -> int:
     if not 0 <= budget < 1:
         raise ParameterError(f"drop budget must be in [0,1), got {budget}")
-    return math.floor((Fraction(budget) + Fraction(math.ulp(budget)) / 2) * n)
+    return _drop_cap(budget, n)
 
 
 def _full_range(x: Histogram) -> float:
@@ -202,77 +207,96 @@ def flexible_error(kind: StatisticKind, x: Histogram, released, budget: float) -
     """Min over sub-histograms within the drop budget of |statistic - released|.
 
     An undefined release scores the full range, same as the benchmark's
-    scoring rule.  Exact routines per statistic; no enumeration.
+    scoring rule.  The statistic's reachable values depend on x and the
+    drop allowance only, so they are computed once per dataset (cached) and
+    each release is scored by a nearest-point lookup; no enumeration.
     """
     if x.size == 0:
         raise DomainError("flexible_error needs a non-empty histogram")
+    if kind.name != "support" and x.space.dimension != 1:
+        raise DomainError(f"{kind} is defined on 1-D histograms only")
     if released is None or released is UNDEFINED:
         return _full_range(x)
     m = _drop_allowance(budget, x.size)
-    if kind.name in ("max", "min"):
-        return _flex_extreme(x, float(released), m, largest=kind.name == "max")
-    if kind.name == "maxk":
-        return _flex_maxk(x, kind.k, float(released), m)
-    if kind.name == "mode":
-        return _flex_mode(x, float(released), m)
-    raise ParameterError(f"no exact flexible-error routine for {kind}")
-
-
-def _flex_extreme(x: Histogram, released: float, m: int, largest: bool) -> float:
-    """Max (largest) or min: with j drops the reachable value is the
-    (j+1)-th element counted from that end, for j up to m (never all n)."""
-    pts = np.array([g[0] for g, _ in x.items()], dtype=float)
-    cnt = np.array([c for _, c in x.items()], dtype=np.int64)
-    elems = np.repeat(pts, cnt)  # items() is point-sorted ascending
-    if largest:
-        elems = elems[::-1]
-    reach = elems[: min(m, elems.size - 1) + 1]
-    return float(np.abs(reach - released).min())
-
-
-def _flex_maxk(x: Histogram, k: int, released: float, m: int) -> float:
-    bars = sorted(x.items(), reverse=True)  # largest ground point first
-    best = math.inf
-    used = 0
-    for g, c in bars:
-        if c < k:
-            continue
-        if used <= m:
-            best = min(best, abs(g[0] - released))
-        used += c - k + 1  # cost of disqualifying this bar before moving left
-    if math.isinf(best):  # nothing qualifies even before dropping
+    if kind.name == "support":
+        raise ParameterError(f"no exact flexible-error routine for {kind}")
+    reach = _reachable(kind, x, m)
+    if reach.size == 0:  # maxk: nothing qualifies even before dropping
         return _full_range(x)
-    return best
+    v = float(released)
+    i = int(np.searchsorted(reach, v))
+    return float(np.abs(reach[max(i - 1, 0):i + 1] - v).min())
 
 
-def _flex_mode(x: Histogram, released: float, m: int) -> float:
-    pts = np.array([g[0] for g, _ in x.items()], dtype=float)
-    cnt = np.array([c for _, c in x.items()], dtype=np.int64)
-    # cost[b] = sum over rivals of the trims needed before bar b wins the
-    # argmax; a smaller point wins ties, so rivals left of b must be beaten
-    # outright (the +1).
-    tie = (pts[None, :] < pts[:, None]).astype(np.int64)
-    trims = np.maximum(0, cnt[None, :] - cnt[:, None] + tie)
-    np.fill_diagonal(trims, 0)
-    costs = trims.sum(axis=1)
-    feasible = costs <= m
-    return float(np.abs(pts[feasible] - released).min())
+@lru_cache(maxsize=16)
+def _reachable(kind: StatisticKind, x: Histogram, m: int) -> np.ndarray:
+    """Ascending ground points the statistic can take after at most m drops.
+
+    Each bar's cost is the fewest drops that make it the statistic; the
+    reachable bars are those costing at most m.  O(bars log bars) time and
+    O(bars) memory.
+    """
+    bars = list(x.items())  # point-sorted ascending
+    pts = np.array([g[0] for g, _ in bars], dtype=float)
+    cnt = np.array([c for _, c in bars], dtype=np.int64)
+    if kind.name == "max":  # drop every element right of the bar
+        cost = x.size - np.cumsum(cnt)
+    elif kind.name == "min":  # drop every element left of the bar
+        cost = np.cumsum(cnt) - cnt
+    elif kind.name == "maxk":  # disqualify every qualifying bar to the right
+        ok = cnt >= kind.k
+        trims = np.where(ok, cnt - kind.k + 1, 0)
+        cost = np.where(ok, trims.sum() - np.cumsum(trims), m + 1)  # below k: never
+    else:  # mode: trim each rival to below the bar; a smaller point wins ties
+        ranked = np.sort(cnt)
+        above = np.concatenate((np.cumsum(ranked[::-1])[::-1], [0]))
+        i = np.searchsorted(ranked, cnt, side="right")
+        cost = above[i] - (cnt.size - i) * cnt + _left_at_least(cnt)
+    reach = pts[cost <= m]
+    reach.flags.writeable = False  # shared by every caller of the cache
+    return reach
+
+
+def _left_at_least(cnt: np.ndarray) -> np.ndarray:
+    """out[b] = #{r < b : cnt[r] >= cnt[b]}, the rivals left of b that tie or beat it.
+
+    In the order count descending, position ascending, r precedes b exactly
+    when cnt[r] > cnt[b], or cnt[r] == cnt[b] and r < b; so out[b] counts
+    the bars before b in that order with a smaller position, the count a
+    Fenwick tree over positions gives.  Here it is a bottom-up merge sort in
+    numpy: when the two sorted halves of a block merge, an element of the
+    right half lands behind exactly the smaller left-half elements, so its
+    merged offset minus its offset in the right half is its count at that
+    level.  A stable sort of sorted runs merges them in linear time, so the
+    whole is O(n log n).
+    """
+    n = cnt.size
+    vals = np.argsort(-cnt, kind="stable")  # positions in that order
+    idx = np.arange(n)
+    out = np.zeros(n, dtype=np.int64)
+    width = 1
+    while width < n:
+        start = idx - idx % (2 * width)  # first index of each block
+        order = np.argsort(start * n + vals, kind="stable")  # merge each block's halves
+        right = order - start >= width  # the element now at p came from the right half
+        out[vals[order[right]]] += idx[right] - order[right] + width
+        vals = vals[order]
+        width *= 2
+    return out
 
 
 def check_drop_witness(x: Histogram, y: Histogram, budget: float) -> bool:
-    """True iff y only removes elements from x and the removed fraction fits.
+    """True iff y only removes elements from x and the removed count fits.
 
-    A hair of tolerance absorbs the float rounding of computed budgets.
+    The float budget b allows ⌊(b + ulp(b)/2)·|x|⌋ drops, as in scoring; a
+    budget at or above 1 accepts any sub-histogram.
     """
     if x.space != y.space:
         raise DomainError("witness check across different spaces")
     for g, c in y.items():
         if c > x.count(g):
             return False
-    if x.size == 0:
-        return True
-    dropped = Fraction(x.size - y.size, x.size)
-    return dropped <= Fraction(budget) + Fraction(1, 10**12)
+    return x.size - y.size <= _drop_cap(budget, x.size)
 
 
 # ---------------------------------------------------------------------------

@@ -249,9 +249,11 @@ def bns_hist(x: Histogram, eps: float, delta: float, rng: RngStream) -> Histogra
     stability threshold 1 + 2 ln(2/delta)/eps; empty bars are never touched,
     so the output support is a subset of the input support."""
     thr = 1.0 + 2.0 * math.log(2.0 / delta) / eps
+    bars = list(x.items())
+    noise = rng.laplace(2.0 / eps, size=len(bars)).tolist()  # one draw per bar, in order
     out: dict[tuple, int] = {}
-    for g, n in x.items():
-        v = n + rng.laplace(2.0 / eps)
+    for (g, n), z in zip(bars, noise):
+        v = n + z
         if v > thr:
             out[g] = round(v)
     return Histogram(out, x.space)

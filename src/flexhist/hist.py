@@ -79,7 +79,7 @@ class MetricSpace:
 class Histogram:
     """Immutable sparse histogram: non-negative integer count per ground point."""
 
-    __slots__ = ("_entries", "_size", "space")
+    __slots__ = ("_entries", "_size", "space", "_hash")
 
     def __init__(self, entries: Mapping[PointLike, int], space: MetricSpace):
         canonical: dict[Point, int] = {}
@@ -122,7 +122,12 @@ class Histogram:
         return self.space == other.space and dict(self._entries) == dict(other._entries)
 
     def __hash__(self) -> int:
-        return hash((self.space, frozenset(self._entries.items())))
+        try:
+            return self._hash
+        except AttributeError:  # first call; the entries never change, so keep it
+            h = hash((self.space, frozenset(self._entries.items())))
+            object.__setattr__(self, "_hash", h)
+            return h
 
     def __repr__(self) -> str:
         inner = ", ".join(f"{_fmt_point(g)}: {c}" for g, c in self.items())

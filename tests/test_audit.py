@@ -2,16 +2,20 @@
 
 import math
 import random
+import re
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from flexhist.audit import (
     AuditInstance,
     _drop_allowance,
+    _full_range,
+    _reachable,
     brute_winf_lossy,
     check_drop_witness,
     dp_delta_exact,
@@ -238,6 +242,162 @@ def test_flexible_error_brute_guard():
         flexible_error_brute(MAX, H({0: 13}), 1.0, 0.1)
 
 
+def test_flexible_error_rejects_non_1d_histograms():
+    x = Histogram({(1, 9): 2, (5, 0): 1}, MetricSpace(2, 10.0))
+    for kind in (MAX, MIN, MODE, maxk(1)):
+        msg = re.escape(f"{kind} is defined on 1-D histograms only")
+        with pytest.raises(DomainError, match=msg):
+            flexible_error_brute(kind, x, 5.0, 0.0)
+        with pytest.raises(DomainError, match=msg):
+            flexible_error(kind, x, 5.0, 0.0)
+    # before any work: neither an undefined release nor the budget is looked at
+    with pytest.raises(DomainError, match="1-D"):
+        flexible_error(MAX, x, UNDEFINED, 0.0)
+    with pytest.raises(DomainError, match="1-D"):
+        flexible_error(MAX, x, 5.0, 2.0)
+
+
+KINDS = (MAX, MIN, MODE, maxk(1), maxk(2), maxk(3))
+TINY = MetricSpace(1, 12.0)
+
+
+def _at_most_12_elements(entries):
+    kept, total = {}, 0
+    for g, c in sorted(entries.items()):
+        if total + c > 12:
+            break
+        kept[g] = c
+        total += c
+    return kept
+
+
+@settings(deadline=None, max_examples=150)
+@given(entries=st.dictionaries(st.integers(0, 11), st.integers(1, 4), min_size=1,
+                               max_size=8).map(_at_most_12_elements),
+       kind=st.sampled_from(KINDS),
+       released=st.one_of(st.floats(0.0, 12.0), st.integers(0, 11).map(float),
+                          st.just(UNDEFINED)),
+       budget=st.floats(0.0, 0.75))
+@example(entries={0: 2, 3: 2, 5: 2, 9: 2}, kind=MODE, released=9.0, budget=0.5)  # all equal
+@example(entries={2: 3, 5: 1, 8: 3}, kind=MODE, released=8.0, budget=1 / 7)  # tie left of 8
+@example(entries={2: 3, 5: 1, 8: 3}, kind=MODE, released=8.0, budget=0.0)  # m = 0
+@example(entries={1: 2, 4: 3, 6: 2}, kind=MAX, released=1.0, budget=6 / 7)  # m = n - 1
+@example(entries={1: 2, 4: 3, 6: 2}, kind=maxk(2), released=0.0, budget=6 / 7)
+def test_flexible_error_matches_brute_force_on_tiny_inputs(entries, kind, released, budget):
+    x = Histogram(entries, TINY)
+    want = flexible_error_brute(kind, x, released, budget)
+    assert flexible_error(kind, x, released, budget) == want
+
+
+# The three routines flexible_error used before the reachable-set cache,
+# kept verbatim as references for medium inputs the brute force cannot reach.
+
+
+def _flex_extreme(x: Histogram, released: float, m: int, largest: bool) -> float:
+    """Max (largest) or min: with j drops the reachable value is the
+    (j+1)-th element counted from that end, for j up to m (never all n)."""
+    pts = np.array([g[0] for g, _ in x.items()], dtype=float)
+    cnt = np.array([c for _, c in x.items()], dtype=np.int64)
+    elems = np.repeat(pts, cnt)  # items() is point-sorted ascending
+    if largest:
+        elems = elems[::-1]
+    reach = elems[: min(m, elems.size - 1) + 1]
+    return float(np.abs(reach - released).min())
+
+
+def _flex_maxk(x: Histogram, k: int, released: float, m: int) -> float:
+    bars = sorted(x.items(), reverse=True)  # largest ground point first
+    best = math.inf
+    used = 0
+    for g, c in bars:
+        if c < k:
+            continue
+        if used <= m:
+            best = min(best, abs(g[0] - released))
+        used += c - k + 1  # cost of disqualifying this bar before moving left
+    if math.isinf(best):  # nothing qualifies even before dropping
+        return _full_range(x)
+    return best
+
+
+def _flex_mode(x: Histogram, released: float, m: int) -> float:
+    pts = np.array([g[0] for g, _ in x.items()], dtype=float)
+    cnt = np.array([c for _, c in x.items()], dtype=np.int64)
+    # cost[b] = sum over rivals of the trims needed before bar b wins the
+    # argmax; a smaller point wins ties, so rivals left of b must be beaten
+    # outright (the +1).
+    tie = (pts[None, :] < pts[:, None]).astype(np.int64)
+    trims = np.maximum(0, cnt[None, :] - cnt[:, None] + tie)
+    np.fill_diagonal(trims, 0)
+    costs = trims.sum(axis=1)
+    feasible = costs <= m
+    return float(np.abs(pts[feasible] - released).min())
+
+
+def _reference(kind, x, released, m):
+    if kind.name in ("max", "min"):
+        return _flex_extreme(x, released, m, largest=kind.name == "max")
+    if kind.name == "maxk":
+        return _flex_maxk(x, kind.k, released, m)
+    return _flex_mode(x, released, m)
+
+
+@settings(deadline=None, max_examples=120)
+@given(bars=st.lists(st.tuples(st.integers(1, 3), st.integers(1, 5)),
+                     min_size=1, max_size=300),
+       kind=st.sampled_from(KINDS),
+       drops=st.integers(0, 10**6),
+       released=st.one_of(st.floats(0.0, 999.0), st.integers(0, 999).map(float)))
+@example(bars=[(1, 3)] * 40, kind=MODE, drops=10, released=25.0)  # all counts equal
+@example(bars=[(1, 4), (1, 2), (1, 4)], kind=MODE, drops=1, released=3.0)  # tie left of 3
+@example(bars=[(1, 4), (1, 2), (1, 4)], kind=MODE, drops=0, released=3.0)  # m = 0
+@example(bars=[(1, 2), (1, 1), (3, 2)], kind=MAX, drops=4, released=0.0)  # m = n - 1
+@example(bars=[(1, 2), (1, 1), (3, 2)], kind=maxk(2), drops=4, released=0.0)
+@example(bars=[(1 + i % 3, 1 + i * 7 % 5) for i in range(300)], kind=MODE, drops=250,
+         released=400.0)  # 300 bars
+@example(bars=[(1 + i % 3, 1 + i * 7 % 5) for i in range(300)], kind=maxk(3), drops=500,
+         released=400.0)
+def test_flexible_error_matches_the_replaced_routines(bars, kind, drops, released):
+    # bar i sits gap_i past bar i-1; heavy count ties; m anywhere in [0, n)
+    x = Histogram({int(p): c for p, (_, c) in zip(np.cumsum([g for g, _ in bars]), bars)},
+                  MetricSpace(1, 1000.0))
+    m = drops % x.size
+    budget = m / x.size
+    assert _drop_allowance(budget, x.size) == m
+    assert flexible_error(kind, x, released, budget) == _reference(kind, x, released, m)
+
+
+def test_flexible_error_at_1e5_bars_stays_in_bounded_memory():
+    n = 10**5
+    cnt = np.random.default_rng(7).integers(1, 40, n)  # every bar occupied, heavy ties
+    x = Histogram({i: int(c) for i, c in enumerate(cnt)}, MetricSpace(1, float(n)))
+    top_k = int(np.flatnonzero(cnt >= 20)[-1])
+    cases = [(MAX, n - 1.0), (MIN, 0.0), (maxk(20), float(top_k)),
+             (MODE, float(np.argmax(cnt)))]  # each release is the true value
+    _reachable.cache_clear()
+    tracemalloc.start()
+    try:
+        for kind, truth in cases:
+            assert flexible_error(kind, x, truth, 0.3) == 0.0
+        assert flexible_error(MAX, x, 0.0, 0.0) == n - 1.0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2**20, peak
+
+
+def test_flexible_error_reuses_the_reachable_set_of_a_dataset():
+    _reachable.cache_clear()
+    x = H({1: 3, 4: 5, 9: 2, 20: 5})
+    first = flexible_error(MODE, x, 19.0, 0.2)
+    hits = _reachable.cache_info().hits
+    assert flexible_error(MODE, x, 19.0, 0.2) == first == 1.0
+    assert flexible_error(MODE, x, 2.0, 0.2) == 2.0  # another release, same set
+    assert _reachable.cache_info().hits == hits + 2
+    with pytest.raises(ValueError):  # the cached set is shared, so read-only
+        _reachable(MODE, x, 2)[0] = 0.0
+
+
 # ---------------------------------------------------------------------------
 # drop witnesses
 
@@ -254,6 +414,25 @@ def test_check_drop_witness_rejects_added_mass():
     x = H({0: 4})
     assert not check_drop_witness(x, H({0: 5}), 0.9)
     assert not check_drop_witness(x, H({1: 1}), 0.9)
+
+
+@pytest.mark.parametrize("budget, three_fit", [
+    (0.3, True),
+    (0.2999999999995, False),  # 2.999999999995 budgeted drops allow 2, not 3
+    (0.29999999999, False),
+])
+def test_check_drop_witness_uses_the_scoring_drop_rule(budget, three_fit):
+    x = H({0: 5, 7: 5})
+    assert check_drop_witness(x, H({0: 3, 7: 4}), budget) is three_fit  # 3 of 10
+    assert check_drop_witness(x, H({0: 3, 7: 5}), budget)  # 2 of 10
+    assert (_drop_allowance(budget, 10) >= 3) is three_fit
+
+
+def test_check_drop_witness_budget_above_one_accepts_any_sub_histogram():
+    x = H({0: 5, 7: 5})
+    assert check_drop_witness(x, H({}), 1.5)
+    assert check_drop_witness(x, H({7: 1}), 1.5)
+    assert not check_drop_witness(x, H({7: 6}), 1.5)
 
 
 def test_check_drop_witness_empty_source():

@@ -326,6 +326,22 @@ def test_bns_hist_support_never_grows():
         assert bns_hist(x, 0.5, 0.01, rng).support() <= x.support()
 
 
+def test_bns_hist_matches_one_scalar_draw_per_bar():
+    # the stream a per-bar loop of scalar Laplace draws consumes, bar by bar
+    x = Histogram({3: 9, 20: 30, 41: 2, 90: 41, 95: 18}, B100)
+    eps, delta = 0.5, 0.01
+    thr = 1.0 + 2.0 * math.log(2.0 / delta) / eps
+    for seed in range(40):
+        rng, ref = RngStream(seed), RngStream(seed)
+        want = {}
+        for g, n in x.items():
+            v = n + ref.laplace(2.0 / eps)
+            if v > thr:
+                want[g] = round(v)
+        assert dict(bns_hist(x, eps, delta, rng).items()) == want
+        assert rng.uniform() == ref.uniform()  # the stream ends in step
+
+
 # ---------------------------------------------------------------------------
 # choosing-based sanitizer
 

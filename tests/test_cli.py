@@ -245,6 +245,16 @@ def test_audit_flex_budget_just_below_a_drop_count(tmp_path, capsys):
         "AUDIT flex stat=max released=0 budget=0.29999999999 flexible_error=9")
 
 
+def test_audit_flex_rejects_two_dimensional_input(tmp_path, capsys):
+    path = tmp_path / "flex2d.txt"
+    path.write_text("1,9 2\n5,0 1\n")
+    assert main(["audit", "flex", "--stat", "max", "--input", str(path),
+                 "--released", "5", "--budget", "0"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "max is defined on 1-D histograms only" in captured.err
+
+
 def test_audit_flex_undefined_release_scores_the_range(flex_file, capsys):
     assert main(["audit", "flex", "--stat", "max", "--input", flex_file,
                  "--bound", "101", "--released", "undefined"]) == 0
