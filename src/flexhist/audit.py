@@ -1,9 +1,13 @@
 """Ground-truth verification: exact DP audit, flexible error, transport oracle.
 
-Everything here is an independent route: these functions re-derive answers
-from definitions (LP over lossy couplings, enumeration over product output
-spaces, enumeration over drop patterns) rather than reusing the production
-algorithms, so the two implementations can check each other.
+Two kinds of function live here.  The oracles re-derive answers from
+definitions rather than reusing the production algorithms, so the two
+implementations can check each other: ``brute_winf_lossy`` (LP over lossy
+couplings), ``dp_delta_exact`` (enumeration over product output spaces) and
+``flexible_error_brute`` (enumeration over drop patterns).  The production
+scorer the benchmark runs is ``flexible_error``, backed by the cached
+``_reachable`` sets; ``check_drop_witness`` and ``trlap_pmf_factory`` serve
+the tests and the CLI audits.
 """
 
 from __future__ import annotations
@@ -130,7 +134,6 @@ class AuditInstance:
     x: Histogram
     x2: Histogram
     pmf_factory: Callable[[int, int, float], np.ndarray]
-    eps_grid: tuple[float, ...] = ()
 
     def __post_init__(self) -> None:
         if not neighbors(self.x, self.x2):
@@ -215,7 +218,7 @@ def flexible_error(kind: StatisticKind, x: Histogram, released, budget: float) -
         raise DomainError("flexible_error needs a non-empty histogram")
     if kind.name != "support" and x.space.dimension != 1:
         raise DomainError(f"{kind} is defined on 1-D histograms only")
-    if released is None or released is UNDEFINED:
+    if released is UNDEFINED:
         return _full_range(x)
     m = _drop_allowance(budget, x.size)
     if kind.name == "support":
@@ -323,7 +326,9 @@ def flexible_error_brute(kind: StatisticKind, x: Histogram, released,
         raise DomainError("flexible_error needs a non-empty histogram")
     if x.size > _BRUTE_COUNT_GUARD:
         raise DomainError(f"brute-force guard: more than {_BRUTE_COUNT_GUARD} elements")
-    if released is None or released is UNDEFINED:
+    if kind.name != "support" and x.space.dimension != 1:
+        raise DomainError(f"{kind} is defined on 1-D histograms only")
+    if released is UNDEFINED:
         return _full_range(x)
     m = _drop_allowance(budget, x.size)
     best = math.inf

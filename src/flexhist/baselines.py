@@ -24,15 +24,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .hist import (
-    DomainError,
-    Histogram,
-    ParameterError,
-    StatisticKind,
-    UndefinedStatisticError,
-    eval_statistic,
-)
-from .mechanisms import UNDEFINED, RngStream
+from .hist import DomainError, Histogram, ParameterError, StatisticKind, eval_statistic
+from .mechanisms import UNDEFINED, RngStream, statistic_or_undefined
 
 
 def _range_bound(x: Histogram) -> int:
@@ -45,17 +38,16 @@ def _range_bound(x: Histogram) -> int:
 
 
 def _counts_vector(x: Histogram) -> np.ndarray:
-    c = np.zeros(_range_bound(x), dtype=np.int64)
-    for g, n in x.items():
-        c[g[0]] = n
+    return _counts(((g[0], n) for g, n in x.items()), _range_bound(x))
+
+
+def _counts(bars, bound: int) -> np.ndarray:
+    c = np.zeros(bound, dtype=np.int64)
+    for v, n in bars:
+        if v != int(v) or not 0 <= v < bound:
+            raise DomainError(f"baseline mechanisms need integer points in [0, {bound}), got {v!r}")
+        c[int(v)] = n
     return c
-
-
-def _stat_or_none(kind: StatisticKind, x: Histogram):
-    try:
-        return eval_statistic(kind, x)
-    except UndefinedStatisticError:
-        return None
 
 
 # ---------------------------------------------------------------------------
@@ -70,8 +62,8 @@ def exp_mech(kind: StatisticKind, x: Histogram, eps: float, rng: RngStream) -> i
     exactly why this mechanism flattens toward uniform on wide ranges.
     """
     bound = _range_bound(x)
-    f = _stat_or_none(kind, x)
-    if f is None:
+    f = statistic_or_undefined(kind, x)
+    if f is UNDEFINED:
         return int(rng.integers(0, bound))
     r = np.arange(bound)
     w = np.exp(-eps * np.abs(f - r) / (2.0 * bound))
@@ -120,8 +112,8 @@ def ptr_mech(kind: StatisticKind, x: Histogram, eps: float, delta: float,
     """Release the exact statistic if the noisy stability radius clears
     ln(1/delta)/eps, otherwise a uniformly random value from the range."""
     bound = _range_bound(x)
-    f = _stat_or_none(kind, x)
-    if f is not None:
+    f = statistic_or_undefined(kind, x)
+    if f is not UNDEFINED:
         noisy = ptr_stability_radius(kind, x) + rng.laplace(1.0 / eps)
         if noisy > math.log(1.0 / delta) / eps:
             return int(f)
@@ -209,9 +201,7 @@ def _ss_mode(c: np.ndarray, beta: float) -> float:
 
 @lru_cache(maxsize=512)
 def _ss_cached(key, kind_name: str, k, beta: float, bound: int) -> float:
-    c = np.zeros(bound, dtype=np.int64)
-    for g, n in key:
-        c[g] = n
+    c = _counts(key, bound)
     if kind_name == "max":
         return _ss_max(c, beta)
     if kind_name == "maxk":
@@ -232,8 +222,8 @@ def ss_mech(kind: StatisticKind, x: Histogram, eps: float, delta: float,
             rng: RngStream) -> float:
     """f(x) plus Laplace noise scaled by the smooth sensitivity at
     beta = eps / (2 ln(2/delta))."""
-    f = _stat_or_none(kind, x)
-    if f is None:
+    f = statistic_or_undefined(kind, x)
+    if f is UNDEFINED:
         return float(rng.integers(0, _range_bound(x)))
     beta = eps / (2.0 * math.log(2.0 / delta))
     ss = smooth_sensitivity(kind, x, beta)
@@ -298,13 +288,10 @@ def sanpoints(x: Histogram, eps: float, delta: float, k_rounds: int,
 
 def bns_mech(kind: StatisticKind, x: Histogram, eps: float, delta: float,
              rng: RngStream):
-    released = bns_hist(x, eps, delta, rng)
-    v = _stat_or_none(kind, released)
-    return UNDEFINED if v is None else v
+    return statistic_or_undefined(kind, bns_hist(x, eps, delta, rng))
 
 
 def sanpoints_mech(kind: StatisticKind, x: Histogram, eps: float, delta: float,
                    rng: RngStream, k_rounds: int = 8):
     released = sanpoints(x, eps, delta, min(k_rounds, max(1, len(x))), rng)
-    v = _stat_or_none(kind, released)
-    return UNDEFINED if v is None else v
+    return statistic_or_undefined(kind, released)

@@ -1,8 +1,8 @@
 """Accuracy and privacy guarantees as checkable values.
 
 Accuracy certificates carry (alpha, beta, gamma): the release matches the
-target function applied to *some* input within distortion alpha of the real
-one, up to output error beta, except with probability gamma.  Privacy
+target function applied to *some* input within drop distortion alpha of the
+real one, up to output error beta, except with probability gamma.  Privacy
 certificates carry (eps, delta).  For the one shipped mechanism, bucketing
 then shifted truncated-Laplace noise, composing the stage bounds gives
 closed forms, and this module states them directly: alpha = tau*t,
@@ -12,9 +12,8 @@ beta = (w/2)*sqrt(d), gamma = 0, and no analytic bound for mode or maxk.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
-from .distortion import DROP, DistortionKind
 from .hist import MAX, MIN, SUPPORT, ParameterError, StatisticKind
 from .mechanisms import MechParams
 
@@ -24,8 +23,6 @@ class AccuracyCert:
     alpha: float
     beta: float
     gamma: float
-    distortion: DistortionKind = DROP
-    metric: str = "dhist"
 
     def __post_init__(self) -> None:
         if self.alpha < 0 or self.beta < 0:
@@ -35,14 +32,13 @@ class AccuracyCert:
 
     def line(self) -> str:
         return (f"CERT accuracy α={self.alpha:.12g} β={self.beta:.12g} "
-                f"γ={self.gamma:.12g} distortion={self.distortion}")
+                f"γ={self.gamma:.12g} distortion=drop")
 
 
 @dataclass(frozen=True)
 class DPCert:
     eps: float
     delta: float
-    neighborhood: str = "hist"
 
     def __post_init__(self) -> None:
         if self.eps < 0:
@@ -104,4 +100,4 @@ def hbs_accuracy_cert(kind: StatisticKind, p: MechParams) -> AccuracyCert:
     """
     if kind not in (MAX, MIN, SUPPORT):
         raise ParameterError(f"no analytic bound for statistic {kind}")
-    return replace(buckethist_accuracy_cert(p), metric="absolute")
+    return buckethist_accuracy_cert(p)

@@ -13,7 +13,6 @@ search over pairwise distances, no enumeration of intermediates required.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, NamedTuple, Optional, Union
 
@@ -27,34 +26,6 @@ from .hist import (
     as_point,
 )
 from .transport import DiscreteDistribution, _threshold_flow, winf, winf_lossy_witness
-
-
-@dataclass(frozen=True)
-class DistortionKind:
-    """One of drop, move, or the eta-weighted drop-then-move blend."""
-
-    name: str
-    eta: Optional[float] = None
-
-    def __post_init__(self) -> None:
-        if self.name not in ("drop", "move", "drmv"):
-            raise ParameterError(f"unknown distortion {self.name!r}")
-        if self.name == "drmv":
-            if self.eta is None or self.eta < 0:
-                raise ParameterError("drmv needs eta >= 0")
-        elif self.eta is not None:
-            raise ParameterError(f"{self.name} takes no eta")
-
-    def __str__(self) -> str:
-        return self.name if self.eta is None else f"drmv(eta={self.eta:g})"
-
-
-DROP = DistortionKind("drop")
-MOVE = DistortionKind("move")
-
-
-def drop_move(eta: float) -> DistortionKind:
-    return DistortionKind("drmv", eta)
 
 
 class FractionalHistogram:
@@ -95,23 +66,6 @@ class FractionalHistogram:
 
     def support(self) -> frozenset[Point]:
         return frozenset(self._entries)
-
-    def round(self) -> Histogram:
-        """Largest-remainder rounding to integer counts, preserving the total.
-
-        Only defined when the total mass is an integer (true for every
-        histogram this module constructs, whose size equals a target count).
-        """
-        total = self.size
-        if total.denominator != 1:
-            raise DomainError(f"total mass {total} is not an integer")
-        floors = {g: int(m) for g, m in self._entries.items()}
-        leftover = int(total) - sum(floors.values())
-        by_remainder = sorted(self._entries.items(),
-                              key=lambda kv: (kv[1] - int(kv[1]), kv[0]), reverse=True)
-        for g, _ in by_remainder[:leftover]:
-            floors[g] += 1
-        return Histogram({g: c for g, c in floors.items() if c > 0}, self.space)
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, FractionalHistogram)
@@ -200,8 +154,7 @@ def drop_move_switch(x: Histogram, z: Histogram, y: Histogram) -> FractionalHist
     drop(x, s) = a2 and move(s, y) <= a1: take an optimal coupling of the
     normalized x and z, thin each cell (g_x, g) by the survival ratio
     y(g)/z(g), renormalize by 1/(1-a2), and read off the first marginal
-    times |y|.  Bar masses are exact rationals; .round() gives an integer
-    histogram when one is required.
+    times |y|.  Bar masses are exact rationals.
     """
     a1 = move(x, z)
     if math.isinf(a1):

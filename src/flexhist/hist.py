@@ -11,7 +11,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping, Union
 
 Scalar = Union[int, float]
@@ -90,7 +89,7 @@ class Histogram:
                 continue
             pt = as_point(g, space.dimension)
             canonical[pt] = canonical.get(pt, 0) + int(c)
-        object.__setattr__(self, "_entries", MappingProxyType(canonical))
+        object.__setattr__(self, "_entries", dict(sorted(canonical.items())))
         object.__setattr__(self, "_size", sum(canonical.values()))
         object.__setattr__(self, "space", space)
 
@@ -108,10 +107,7 @@ class Histogram:
         return frozenset(self._entries)
 
     def items(self) -> Iterator[tuple[Point, int]]:
-        return iter(sorted(self._entries.items()))
-
-    def entries(self) -> Mapping[Point, int]:
-        return self._entries
+        return iter(self._entries.items())  # point order, fixed at construction
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -119,7 +115,7 @@ class Histogram:
     def __eq__(self, other) -> bool:
         if not isinstance(other, Histogram):
             return NotImplemented
-        return self.space == other.space and dict(self._entries) == dict(other._entries)
+        return self.space == other.space and self._entries == other._entries
 
     def __hash__(self) -> int:
         try:
@@ -238,7 +234,7 @@ def eval_statistic(kind: StatisticKind, x: Histogram):
         return x.support()
     if x.space.dimension != 1:
         raise DomainError(f"{kind} is defined on 1-D histograms only")
-    bars = sorted((g[0], c) for g, c in x.entries().items())
+    bars = [(g[0], c) for g, c in x.items()]
     if kind.name == "max":
         return bars[-1][0]
     if kind.name == "min":
@@ -296,6 +292,10 @@ def parse_histogram_text(text: str, space: MetricSpace | None = None) -> Histogr
             raise DomainError("empty histogram file and no space given")
         top = max(max(pt) for pt in entries)
         space = MetricSpace(dimension=dim, bound=float(top) + 1)
+    for pt in entries:
+        if not space.contains(pt):
+            raise DomainError(f"point {_fmt_point(pt)} outside [0, {space.bound:g})"
+                              f"^{space.dimension}")
     return Histogram(entries, space)
 
 

@@ -95,23 +95,22 @@ class NoiseSpec:
             raise ParameterError("eps must be positive")
 
 
-def emptiness_probs(q: int, eps: float, delta: float, check_pareto: bool = True) -> np.ndarray:
+def emptiness_probs(q: int, eps: float, delta: float) -> np.ndarray:
     """Bar-emptying probabilities p_0..p_q of the count-reduction scheme.
 
     p_k = delta*(e^{k*eps}-1)/(e^eps-1) for k <= q/2 and p_k = 1 - p_{q-k}
     above; p_0 = 0 and p_q = 1.  The two halves agree at q/2 exactly when
     (eps, delta, q) sit on the pareto curve delta*(e^{eps*q/2}-1)/(e^eps-1)
-    = 1/2, which is checked unless the caller opts out.
+    = 1/2, which is checked.
     """
     if q < 1 or int(q) != q:
         raise ParameterError("q must be a positive integer")
     if not (eps > 0 and 0 < delta < 1):
         raise ParameterError("need eps > 0 and delta in (0,1)")
-    if check_pareto:
-        mid = delta * math.expm1(eps * q / 2) / math.expm1(eps)
-        if abs(mid - 0.5) > 1e-9:
-            raise ParameterError(
-                f"(eps, delta, q) off the pareto curve: delta*ratio = {mid!r}, expected 0.5")
+    mid = delta * math.expm1(eps * q / 2) / math.expm1(eps)
+    if abs(mid - 0.5) > 1e-9:
+        raise ParameterError(
+            f"(eps, delta, q) off the pareto curve: delta*ratio = {mid!r}, expected 0.5")
     q = int(q)
     p = np.empty(q + 1)
     for k in range(q + 1):
@@ -301,15 +300,19 @@ class Undefined:
 UNDEFINED = Undefined()
 
 
+def statistic_or_undefined(kind: StatisticKind, y: Histogram):
+    """The statistic of a released histogram, or UNDEFINED when it has none
+    (empty histogram, no bar reaching a maxk threshold)."""
+    try:
+        return eval_statistic(kind, y)
+    except UndefinedStatisticError:
+        return UNDEFINED
+
+
 def mech_hbs(kind: StatisticKind, x: Histogram, p: MechParams, rng: RngStream):
     """Release a histogram statistic through the bucketed noisy histogram.
 
-    Returns UNDEFINED instead of raising when the released histogram is empty
-    or no bar reaches a maxk threshold; callers score that as full-range
-    error.
+    Returns UNDEFINED instead of raising when the released statistic does
+    not exist; callers score that as full-range error.
     """
-    released = mech_buckethist(x, p, rng)
-    try:
-        return eval_statistic(kind, released)
-    except UndefinedStatisticError:
-        return UNDEFINED
+    return statistic_or_undefined(kind, mech_buckethist(x, p, rng))

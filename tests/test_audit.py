@@ -190,7 +190,6 @@ def test_drop_allowance_brackets_the_float_exactly(budget, n):
 
 def test_flexible_error_undefined_release_scores_full_range():
     assert flexible_error(MAX, H({5: 2}), UNDEFINED, 0.3) == 100.0
-    assert flexible_error(MAX, H({5: 2}), None, 0.3) == 100.0
 
 
 def test_flexible_error_maxk_never_qualified():
@@ -253,6 +252,8 @@ def test_flexible_error_rejects_non_1d_histograms():
     # before any work: neither an undefined release nor the budget is looked at
     with pytest.raises(DomainError, match="1-D"):
         flexible_error(MAX, x, UNDEFINED, 0.0)
+    with pytest.raises(DomainError, match="1-D"):
+        flexible_error_brute(MAX, x, UNDEFINED, 0.0)
     with pytest.raises(DomainError, match="1-D"):
         flexible_error(MAX, x, 5.0, 2.0)
 

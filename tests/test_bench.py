@@ -32,7 +32,11 @@ CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 # sha256 of the run_to_csv bytes, "# " lines included, at datasets = runs = 2
 GOLDEN_CSV_SHA256 = {
+    "exp1": "2533cda42822bab16d3414839b24fba7a743d706f5e6ccf0e9c72903cdbe935a",
     "exp2": "75d10ab90b83f592d5264c7a31296f19194ed8d0cda408802c29f56fadaa81f3",
+    "exp3": "e7c5d30fb94350db7b433a97f5c851740ae5dd5a6f9f4bf382d526532764e500",
+    "exp4": "3be4b5b3f3e74976096bf3b4aab802226c01bcb048b71ca4f3564f0cb136208f",
+    "exp5": "38b6b3ae3a94727aa3a419dd681428e362b6146a170344fc7d8da8f325b08736",
     "exp6": "82bca0b54b5c54d5daf8f70da3810d4e2b9458159c5589f50026053f525f2878",
 }
 

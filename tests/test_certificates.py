@@ -13,7 +13,6 @@ from flexhist.certificates import (
     trlap_delta,
     trlap_dp_cert,
 )
-from flexhist.distortion import DROP, drop_move
 from flexhist.hist import MAX, MIN, MODE, SUPPORT, ParameterError, maxk
 from flexhist.mechanisms import MechParams
 
@@ -34,8 +33,6 @@ def test_accuracy_cert_validation():
 def test_accuracy_cert_line():
     c = AccuracyCert(alpha=0.05, beta=5.0, gamma=0.0)
     assert c.line() == "CERT accuracy α=0.05 β=5 γ=0 distortion=drop"
-    c2 = AccuracyCert(alpha=0.1, beta=0.0, gamma=0.0, distortion=drop_move(0.01))
-    assert c2.line() == "CERT accuracy α=0.1 β=0 γ=0 distortion=drmv(eta=0.01)"
 
 
 def test_dp_cert_validation_and_line():
@@ -111,8 +108,6 @@ def test_buckethist_accuracy_cert_recovers_params():
     assert c.alpha == pytest.approx(0.05, rel=1e-12)
     assert c.beta == 5.0
     assert c.gamma == 0.0
-    assert c.distortion == DROP
-    assert c.metric == "dhist"
 
 
 def test_bucketing_accuracy_cert():
@@ -135,7 +130,6 @@ def test_analytic_metric_sens_coverage():
     for kind in (MAX, MIN, SUPPORT):
         c = hbs_accuracy_cert(kind, p)
         assert (c.alpha, c.beta, c.gamma) == (p.tau * p.t, 5.0, 0.0)
-        assert c.metric == "absolute"
         assert c.line() == buckethist_accuracy_cert(p).line()
     for kind in (MODE, maxk(5)):
         with pytest.raises(ParameterError) as exc:
@@ -149,6 +143,6 @@ def test_hbs_accuracy_cert():
     assert c.alpha == p.tau * p.t
     assert c.alpha == pytest.approx(0.05, rel=1e-12)
     assert c.beta == 5.0
-    assert c.metric == "absolute"
+    assert c == buckethist_accuracy_cert(p)
     with pytest.raises(ParameterError):
         hbs_accuracy_cert(MODE, p)

@@ -154,6 +154,36 @@ def test_mech_run_undefined_release(tmp_path, capsys):
     assert "released = undefined" in capsys.readouterr().out
 
 
+def test_mech_run_rejects_points_above_the_bound(tmp_path, capsys):
+    path = tmp_path / "wide.txt"
+    path.write_text("2 3\n7 4\n")
+    assert main(["mech", "run", "--mech", "smoothsens", "--stat", "max",
+                 "--input", str(path), "--eps", "1", "--bound", "5"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error: point 7 outside [0, 5)" in captured.err
+
+
+def test_mech_run_rejects_negative_points(tmp_path, capsys):
+    path = tmp_path / "negative.txt"
+    path.write_text("-1 3\n2 4\n")
+    assert main(["mech", "run", "--mech", "ptr", "--stat", "max", "--input", str(path),
+                 "--eps", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error: point -1 outside [0, 3)" in captured.err
+
+
+@pytest.mark.parametrize("mech", ["ptr", "smoothsens"])
+def test_mech_run_baselines_reject_non_integer_points(tmp_path, capsys, mech):
+    path = tmp_path / "half.txt"
+    path.write_text("2.5 3\n4 4\n")
+    assert main(["mech", "run", "--mech", mech, "--stat", "max", "--input", str(path),
+                 "--eps", "1"]) == 2
+    assert "error: baseline mechanisms need integer points in [0, 5), got 2.5" in (
+        capsys.readouterr().err)
+
+
 def test_mech_run_errors(hist_file, capsys):
     assert main(["mech", "run", "--mech", "expmech", "--stat", "maxk",
                  "--input", hist_file, "--eps", "1.0"]) == 2

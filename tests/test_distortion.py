@@ -7,12 +7,9 @@ from fractions import Fraction
 import pytest
 
 from flexhist.distortion import (
-    DROP,
-    DistortionKind,
     FractionalHistogram,
     drmv,
     drop,
-    drop_move,
     drop_move_switch,
     move,
 )
@@ -37,21 +34,6 @@ def sub_hist(rng, x, keep_at_least=0):
         g = rng.choice([g for g, c in x.items() if entries[g] < c])
         entries[g] += 1
     return H(entries)
-
-
-# ---------------------------------------------------------------------------
-# kinds
-
-
-def test_distortion_kind_validation():
-    with pytest.raises(ParameterError):
-        DistortionKind("edit")
-    with pytest.raises(ParameterError):
-        DistortionKind("drop", eta=1.0)
-    with pytest.raises(ParameterError):
-        drop_move(-0.5)
-    assert str(drop_move(0.25)) == "drmv(eta=0.25)"
-    assert str(DROP) == "drop"
 
 
 # ---------------------------------------------------------------------------
@@ -250,19 +232,6 @@ def test_switch_validation():
 
 # ---------------------------------------------------------------------------
 # fractional histograms
-
-
-def test_fractional_round_largest_remainder():
-    f = FractionalHistogram([(0, Fraction(3, 2)), (1, Fraction(3, 2))], SPACE)
-    r = f.round()
-    assert r.size == 3
-    assert sorted(c for _, c in r.items()) == [1, 2]
-
-
-def test_fractional_round_needs_integer_total():
-    f = FractionalHistogram([(0, Fraction(1, 2))], SPACE)
-    with pytest.raises(DomainError):
-        f.round()
 
 
 def test_fractional_rejects_negative_mass():

@@ -104,6 +104,9 @@ def test_histogram_immutable_and_hashable():
     assert x == H({0: 1})
     assert hash(x) == hash(H({0: 1}))
     assert x != H({0: 2})
+    # stored in point order, so insertion order never matters
+    y = H({9: 2, 3: 1, 5: 4})
+    assert y == H({3: 1, 5: 4, 9: 2}) and hash(y) == hash(H({5: 4, 9: 2, 3: 1}))
 
 
 def test_histogram_items_sorted():
@@ -272,6 +275,10 @@ def test_parse_histogram_errors():
         parse_histogram_text("0,1 2\n3 1\n")  # mixed dimensions
     with pytest.raises(DomainError):
         parse_histogram_text("# nothing\n")
+    with pytest.raises(DomainError, match="outside"):
+        parse_histogram_text("3 1\n100 2\n", SPACE)
+    with pytest.raises(DomainError, match="outside"):
+        parse_histogram_text("-1 3\n2 4\n")
 
 
 def test_histogram_text_roundtrip_2d():

@@ -126,12 +126,6 @@ def test_emptiness_probs_off_curve_rejected():
         emptiness_probs(4, math.log(4.0), 0.2)
 
 
-def test_emptiness_probs_check_opt_out():
-    p = emptiness_probs(4, math.log(4.0), 0.2, check_pareto=False)
-    assert len(p) == 5
-    assert p[0] == 0.0 and p[4] == 1.0
-
-
 def test_emptiness_probs_validation():
     with pytest.raises(ParameterError):
         emptiness_probs(0, 1.0, 0.1)
