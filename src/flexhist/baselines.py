@@ -38,12 +38,9 @@ def _range_bound(x: Histogram) -> int:
 
 
 def _counts_vector(x: Histogram) -> np.ndarray:
-    return _counts(((g[0], n) for g, n in x.items()), _range_bound(x))
-
-
-def _counts(bars, bound: int) -> np.ndarray:
+    bound = _range_bound(x)
     c = np.zeros(bound, dtype=np.int64)
-    for v, n in bars:
+    for (v,), n in x.items():
         if v != int(v) or not 0 <= v < bound:
             raise DomainError(f"baseline mechanisms need integer points in [0, {bound}), got {v!r}")
         c[int(v)] = n
@@ -200,22 +197,21 @@ def _ss_mode(c: np.ndarray, beta: float) -> float:
 
 
 @lru_cache(maxsize=512)
-def _ss_cached(key, kind_name: str, k, beta: float, bound: int) -> float:
-    c = _counts(key, bound)
-    if kind_name == "max":
+def _ss_cached(kind: StatisticKind, x: Histogram, beta: float) -> float:
+    c = _counts_vector(x)
+    if kind.name == "max":
         return _ss_max(c, beta)
-    if kind_name == "maxk":
-        return _ss_maxk(c, k, beta)
-    if kind_name == "mode":
+    if kind.name == "maxk":
+        return _ss_maxk(c, kind.k, beta)
+    if kind.name == "mode":
         return _ss_mode(c, beta)
-    raise ParameterError(f"no smooth-sensitivity routine for {kind_name}")
+    raise ParameterError(f"no smooth-sensitivity routine for {kind}")
 
 
 def smooth_sensitivity(kind: StatisticKind, x: Histogram, beta: float) -> float:
     if beta <= 0:
         raise ParameterError("beta must be positive")
-    key = tuple((g[0], n) for g, n in x.items())
-    return _ss_cached(key, kind.name, kind.k, beta, _range_bound(x))
+    return _ss_cached(kind, x, beta)
 
 
 def ss_mech(kind: StatisticKind, x: Histogram, eps: float, delta: float,
@@ -274,7 +270,7 @@ def sanpoints(x: Histogram, eps: float, delta: float, k_rounds: int,
     eps_round = eps / (2.0 * k_rounds)
     out: dict[tuple, int] = {}
     for _ in range(k_rounds):
-        pts = sorted(remaining)
+        pts = list(remaining)  # point order: x's order, kept by pop
         heights = np.array([remaining[g] for g in pts], dtype=float)
         w = np.exp(eps_round * (heights - heights.max()) / 2.0)
         g = pts[rng.choice_weighted(w)]

@@ -42,6 +42,7 @@ from .hist import (
     Histogram,
     MetricSpace,
     ParameterError,
+    check_points,
     parse_statistic,
     read_histogram,
 )
@@ -218,8 +219,9 @@ def _cmd_transport_winf(args) -> int:
     if bound is None:  # both sides must share one space
         bound = max(max(pt) for pt, _ in pa + qa) + 1
     space = MetricSpace(dims.pop(), float(bound))
-    d = winf_lossy(DiscreteDistribution(pa, space),
-                   DiscreteDistribution(qa, space), args.gamma)
+    p, q = DiscreteDistribution(pa, space), DiscreteDistribution(qa, space)
+    check_points(p.points() + q.points(), space)
+    d = winf_lossy(p, q, args.gamma)
     print(f"winf gamma={args.gamma:.12g} distance={d:.12g}")
     return 0
 

@@ -6,8 +6,8 @@ histograms; ``drmv`` drops down to the target size and then moves, with the
 move term weighted by eta.  The drop count is forced to ``|x| - |y|``, so
 the optimisation is only over *which* elements survive; that reduces to a
 bipartite feasibility question (can the demands y be met from capacities x
-using only edges of length <= t?) and is solved exactly by a threshold
-search over pairwise distances, no enumeration of intermediates required.
+using only edges of length <= t?) that ``transport``'s threshold flow solves
+exactly, one network grown in distance order, no enumeration of intermediates.
 """
 
 from __future__ import annotations
@@ -130,7 +130,7 @@ def drmv(x: Histogram, y: Histogram, eta: float) -> DrmvResult:
     """Drop down to |y| elements, then move them onto y; eta weights the move.
 
     Exact at any scale: the drop fraction is pinned at (|x|-|y|)/|x|, and the
-    best achievable move term comes out of the threshold-flow search.
+    best achievable move term comes out of the threshold flow.
     """
     if eta < 0:
         raise ParameterError("eta must be non-negative")
@@ -150,14 +150,15 @@ def drmv(x: Histogram, y: Histogram, eta: float) -> DrmvResult:
 def drop_move_switch(x: Histogram, z: Histogram, y: Histogram) -> FractionalHistogram:
     """Reorder a move-then-drop path into drop-then-move through the same ends.
 
-    Given move(x, z) = a1 finite and drop(z, y) = a2 < 1, builds s with
-    drop(x, s) = a2 and move(s, y) <= a1: take an optimal coupling of the
-    normalized x and z, thin each cell (g_x, g) by the survival ratio
-    y(g)/z(g), renormalize by 1/(1-a2), and read off the first marginal
-    times |y|.  Bar masses are exact rationals.
+    Given move(x, z) = a1 finite (so |x| = |z|) and drop(z, y) = a2 < 1,
+    builds s with drop(x, s) = a2 and move(s, y) <= a1: take an optimal
+    coupling of the normalized x and z, thin each cell (g_x, g) by the
+    survival ratio y(g)/z(g), renormalize by 1/(1-a2), and read off the
+    first marginal times |y|.  Bar masses are exact rationals.
     """
-    a1 = move(x, z)
-    if math.isinf(a1):
+    if x.space != z.space:
+        raise DomainError("move across different spaces")
+    if x.size != z.size:
         raise DomainError("move(x, z) must be finite")
     if z.size == 0:
         raise DomainError("switch needs a non-empty intermediate")

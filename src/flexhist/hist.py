@@ -213,11 +213,9 @@ def maxk(k: int) -> StatisticKind:
 
 def parse_statistic(text: str, k: int | None = None) -> StatisticKind:
     name = text.strip().lower()
-    if name == "maxk":
-        if k is None:
-            raise ParameterError("maxk needs --k")
-        return maxk(k)
-    return StatisticKind(name)
+    if name == "maxk" and k is None:
+        raise ParameterError("maxk needs --k")
+    return StatisticKind(name, k)
 
 
 def eval_statistic(kind: StatisticKind, x: Histogram):
@@ -292,11 +290,16 @@ def parse_histogram_text(text: str, space: MetricSpace | None = None) -> Histogr
             raise DomainError("empty histogram file and no space given")
         top = max(max(pt) for pt in entries)
         space = MetricSpace(dimension=dim, bound=float(top) + 1)
-    for pt in entries:
+    check_points(entries, space)
+    return Histogram(entries, space)
+
+
+def check_points(points: Iterable[Point], space: MetricSpace) -> None:
+    """Raise DomainError naming the first point that the space does not contain."""
+    for pt in points:
         if not space.contains(pt):
             raise DomainError(f"point {_fmt_point(pt)} outside [0, {space.bound:g})"
                               f"^{space.dimension}")
-    return Histogram(entries, space)
 
 
 def read_histogram(path: str, space: MetricSpace | None = None) -> Histogram:

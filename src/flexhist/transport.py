@@ -6,9 +6,10 @@ routable through atom pairs at distance <= beta (source capacities P, sink
 capacities Q) reaches ``1 - gamma``; the remaining mass is parked on
 zero-distance diagonal cells, charging the marginal-deviation budget only.
 The infimum over beta is attained on the set of pairwise distances (plus 0),
-so a binary search over that candidate set with an exact max-flow
-feasibility test gives the exact value.  The same threshold-flow search,
-on integer counts, answers the move term of ``distortion.drmv``.
+so one flow network, grown by the atom pairs of each distance in increasing
+order with its maximum flow carried over, stops at the exact value: the first
+distance whose flow reaches ``1 - gamma``.  The same threshold flow, on
+integer counts, answers the move term of ``distortion.drmv``.
 
 All flow arithmetic is exact ``Fraction`` arithmetic: masses coming from
 histograms are exact rationals, and float masses convert to Fractions
@@ -26,6 +27,7 @@ import math
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import groupby
 from typing import Iterable, Sequence, Union
 
 from .hist import (
@@ -149,6 +151,7 @@ class _FlowNet:
         self.n = n
         self.cap: list[dict[int, Fraction]] = [dict() for _ in range(n)]
         self.cost: list[dict[int, float]] = [dict() for _ in range(n)]
+        self.reached: set[int] = set()  # set by max_flow
 
     def add(self, u: int, v: int, c: MassLike, w: float = 0.0) -> None:
         self.cap[u][v] = self.cap[u].get(v, Fraction(0)) + c
@@ -174,7 +177,8 @@ class _FlowNet:
         return pushed, sum(self.cost[u][v] for u, v in path)
 
     def max_flow(self, s: int, t: int) -> Fraction:
-        """Edmonds-Karp: shortest augmenting paths by breadth-first search."""
+        """Edmonds-Karp: shortest augmenting paths by breadth-first search;
+        ``reached`` keeps the nodes that its last, failed search reached."""
         total = Fraction(0)
         while True:
             parent = [-1] * self.n
@@ -183,10 +187,11 @@ class _FlowNet:
             while queue and parent[t] == -1:
                 u = queue.popleft()
                 for v, c in self.cap[u].items():
-                    if c > 0 and parent[v] == -1:
+                    if parent[v] == -1 and c:  # residual capacities are >= 0
                         parent[v] = u
                         queue.append(v)
             if parent[t] == -1:
+                self.reached = {v for v, u in enumerate(parent) if u != -1}
                 return total
             total += self.augment(parent, s, t)[0]
 
@@ -218,41 +223,31 @@ def _threshold_flow(src: Sequence[tuple[Point, MassLike]],
     """Smallest squared radius at which mass ``need`` routes from src to dst.
 
     ``src`` and ``dst`` are (point, capacity) pairs, and only pairs within
-    the radius carry flow.  The answer is 0 or a pairwise squared distance,
-    so a binary search over those candidates finds it; the largest candidate
-    (the complete graph) must route ``need``.  Returns the radius and a
-    maximum flow there as {(src index, dst index): mass}, sorted by key.
+    the radius carry flow.  The network takes the pairs in distance order and
+    keeps its flow; it searches again only when a new pair leaves the set
+    that the last failed search reached, which is otherwise still closed.
+    Returns the radius (the largest one must route ``need``) and a maximum
+    flow there as {(src index, dst index): mass}, sorted by key.
     """
-    d2 = [[space.dist2_exact(a, b) for b, _ in dst] for a, _ in src]
-    candidates = sorted({Fraction(0)} | {v for row in d2 for v in row})
-    src_caps = [c for _, c in src]
-    dst_caps = [c for _, c in dst]
-
-    def solve(k: int) -> tuple[Fraction, _FlowNet]:
-        beta2 = candidates[k]
-        net, s, t = _bipartite(src_caps, dst_caps,
-                               ((i, j, 0.0) for i, row in enumerate(d2)
-                                for j, v in enumerate(row) if v <= beta2))
-        return net.max_flow(s, t), net
-
-    lo, hi, best = 0, len(candidates) - 1, None
-    routed, net = solve(0)
-    if routed >= need:
-        hi, best = 0, net
-    while lo + 1 < hi:
-        mid = (lo + hi) // 2
-        routed, net = solve(mid)
-        if routed >= need:
-            hi, best = mid, net
-        else:
-            lo = mid
-    if best is None:  # the answer is the largest candidate, which no probe visits
-        _, best = solve(hi)
     ns = len(src)
-    back = [best.cap[ns + j] for j in range(len(dst))]  # residual back-edges
+    net, s, t = _bipartite([c for _, c in src], [c for _, c in dst], ())
+    wide = sum(c for _, c in dst)  # the pair capacity of _bipartite
+    pairs = sorted((space.dist2_exact(a, b), i, j)
+                   for i, (a, _) in enumerate(src) for j, (b, _) in enumerate(dst))
+    routed, beta2 = net.max_flow(s, t), Fraction(0)
+    for d2, group in groupby(pairs, key=lambda pair: pair[0]):
+        if routed >= need and d2 > 0:  # every pair within beta2 is in
+            break
+        beta2, grown = d2, False
+        for _, i, j in group:
+            net.add(i, ns + j, wide)
+            grown = grown or i in net.reached
+        if grown:
+            routed += net.max_flow(s, t)
+    back = [net.cap[ns + j] for j in range(len(dst))]  # residual back-edges
     flow = {(i, j): b[i] for i in range(ns) for j, b in enumerate(back)
             if b.get(i, 0) > 0}  # = shipped amounts, in (i, j) order
-    return candidates[hi], flow
+    return beta2, flow
 
 
 def _check_gamma(gamma: float) -> Fraction:

@@ -95,6 +95,10 @@ def test_parse_config_rejects_malformed_input():
         parse_config(BASE_CFG.replace("150x2, 1x3", "150by2"))
     with pytest.raises(ParameterError, match="unknown mechanisms"):
         parse_config(BASE_CFG.replace("expmech", "magic"))
+    with pytest.raises(ParameterError, match="max takes no k"):
+        parse_config(BASE_CFG + "k = 3\n")
+    with pytest.raises(ParameterError, match="maxk needs --k"):
+        parse_config(BASE_CFG.replace("statistic = max", "statistic = maxk"))
     with pytest.raises(ParameterError, match="unknown generator"):
         parse_config(BASE_CFG.replace("generator = steps", "generator = zipf"))
     with pytest.raises(ParameterError, match="needs a steps"):

@@ -188,6 +188,9 @@ def test_mech_run_errors(hist_file, capsys):
     assert main(["mech", "run", "--mech", "expmech", "--stat", "maxk",
                  "--input", hist_file, "--eps", "1.0"]) == 2
     assert "maxk needs --k" in capsys.readouterr().err
+    assert main(["mech", "run", "--mech", "expmech", "--stat", "max", "--k", "3",
+                 "--input", hist_file, "--eps", "1.0"]) == 2
+    assert "max takes no k" in capsys.readouterr().err
     assert main(["mech", "run", "--mech", "expmech", "--stat", "nope",
                  "--input", hist_file, "--eps", "1.0"]) == 2
     assert "unknown statistic" in capsys.readouterr().err
@@ -333,3 +336,11 @@ def test_transport_winf_errors(tmp_path, capsys):
     assert "no atoms" in capsys.readouterr().err
     assert main(["transport", "winf", "--p", q, "--q", q, "--gamma", "1.5"]) == 2
     assert "error:" in capsys.readouterr().err
+    wide = _write(tmp_path, "wide.txt", "7 1/2\n-3 1/2\n")
+    assert main(["transport", "winf", "--p", wide, "--q", q, "--gamma", "0"]) == 2
+    assert "error: point -3 outside [0, 8)^1" in capsys.readouterr().err
+    assert main(["transport", "winf", "--p", wide, "--q", q, "--gamma", "0",
+                 "--bound", "5"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error: point -3 outside [0, 5)^1" in captured.err

@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from flexhist import transport
 from flexhist.distortion import (
     FractionalHistogram,
     drmv,
@@ -220,6 +221,15 @@ def test_switch_guarantees_on_random_instances():
         done += 1
 
 
+def test_switch_solves_transport_once(monkeypatch):
+    calls = []
+    solve = transport._threshold_flow
+    monkeypatch.setattr(transport, "_threshold_flow",
+                        lambda *args: calls.append(args) or solve(*args))
+    drop_move_switch(H({0: 2, 3: 1}), H({1: 2, 4: 1}), H({1: 1, 4: 1}))
+    assert len(calls) == 1
+
+
 def test_switch_validation():
     x = H({0: 2})
     with pytest.raises(DomainError):
@@ -228,6 +238,10 @@ def test_switch_validation():
         drop_move_switch(x, H({1: 2}), H({}))  # full drop, a2 = 1
     with pytest.raises(DomainError):
         drop_move_switch(x, H({1: 2}), H({1: 2, 3: 1}))  # drop(z, y) infinite
+    with pytest.raises(DomainError):
+        drop_move_switch(H({}), H({}), H({}))  # empty intermediate
+    with pytest.raises(DomainError):
+        drop_move_switch(x, H({1: 2}, MetricSpace(1, 50.0)), H({1: 1}))  # two spaces
 
 
 # ---------------------------------------------------------------------------

@@ -6,12 +6,17 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy.optimize import linprog
 
 from flexhist.hist import DomainError, Histogram, MetricSpace
 from flexhist.transport import (
+    _FUZZ,
     Coupling,
     DiscreteDistribution,
+    _bipartite,
+    _threshold_flow,
     tv_distance,
     w_avg_lossy,
     winf,
@@ -167,6 +172,83 @@ def test_coupling_marginals():
     c = Coupling((((0,), (1,), Fraction(1, 2)), ((0,), (0,), Fraction(1, 2))))
     assert c.first_marginal() == {(0,): Fraction(1)}
     assert c.second_marginal() == {(1,): Fraction(1, 2), (0,): Fraction(1, 2)}
+
+
+# ---------------------------------------------------------------------------
+# the threshold flow against the binary search it replaced
+#
+# The binary search over candidate radii, with a fresh network and max-flow
+# at every probe, kept verbatim as the reference.
+
+
+def _threshold_flow_reference(src, dst, space, need):
+    d2 = [[space.dist2_exact(a, b) for b, _ in dst] for a, _ in src]
+    candidates = sorted({Fraction(0)} | {v for row in d2 for v in row})
+    src_caps = [c for _, c in src]
+    dst_caps = [c for _, c in dst]
+
+    def solve(k: int):
+        beta2 = candidates[k]
+        net, s, t = _bipartite(src_caps, dst_caps,
+                               ((i, j, 0.0) for i, row in enumerate(d2)
+                                for j, v in enumerate(row) if v <= beta2))
+        return net.max_flow(s, t), net
+
+    lo, hi, best = 0, len(candidates) - 1, None
+    routed, net = solve(0)
+    if routed >= need:
+        hi, best = 0, net
+    while lo + 1 < hi:
+        mid = (lo + hi) // 2
+        routed, net = solve(mid)
+        if routed >= need:
+            hi, best = mid, net
+        else:
+            lo = mid
+    if best is None:  # the answer is the largest candidate, which no probe visits
+        _, best = solve(hi)
+    ns = len(src)
+    back = [best.cap[ns + j] for j in range(len(dst))]  # residual back-edges
+    flow = {(i, j): b[i] for i in range(ns) for j, b in enumerate(back)
+            if b.get(i, 0) > 0}  # = shipped amounts, in (i, j) order
+    return candidates[hi], flow
+
+
+@st.composite
+def threshold_cases(draw):
+    """(src, dst, need): 1-D or 2-D atoms with exact capacities, and a need
+    from below 0 up to the smaller side's total."""
+    dim = draw(st.sampled_from([1, 2]))
+    atom = st.tuples(st.tuples(*[st.integers(0, 9)] * dim),
+                     st.integers(1, 12).map(lambda k: Fraction(k, 4)))
+    src = draw(st.lists(atom, min_size=1, max_size=8))
+    dst = draw(st.lists(atom, min_size=1, max_size=8))
+    total = min(sum(c for _, c in src), sum(c for _, c in dst))
+    return src, dst, total * Fraction(draw(st.integers(-2, 16)), 16)
+
+
+@settings(deadline=None, max_examples=200)
+@given(case=threshold_cases())
+@example(case=([((0,), Fraction(1))], [((3,), Fraction(1))], Fraction(1)))  # largest radius
+@example(case=([((0,), Fraction(1, 2)), ((4,), Fraction(1, 2))], [((4,), Fraction(1))],
+               -_FUZZ))  # need <= 0, as at gamma = 1
+@example(case=([((2, 2), Fraction(1, 2)), ((2, 2), Fraction(1, 2))],
+               [((2, 2), Fraction(1))], Fraction(1)))  # only zero-distance pairs
+def test_threshold_flow_matches_the_binary_search(case):
+    src, dst, need = case
+    space = MetricSpace(len(src[0][0]), 10.0)
+    want_r2, want_flow = _threshold_flow_reference(src, dst, space, need)
+    r2, flow = _threshold_flow(src, dst, space, need)
+    assert r2 == want_r2
+    assert list(flow) == sorted(flow)
+    for (i, j), m in flow.items():
+        assert m > 0
+        assert space.dist2_exact(src[i][0], dst[j][0]) <= r2
+    for i, (_, c) in enumerate(src):
+        assert sum(m for (a, _), m in flow.items() if a == i) <= c
+    for j, (_, c) in enumerate(dst):
+        assert sum(m for (_, b), m in flow.items() if b == j) <= c
+    assert sum(flow.values()) == sum(want_flow.values()) >= need
 
 
 # ---------------------------------------------------------------------------
