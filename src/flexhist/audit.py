@@ -187,6 +187,7 @@ def dp_delta_exact(inst: AuditInstance, eps: float) -> float:
 # flexible error under a drop budget
 
 
+@lru_cache(maxsize=16)
 def _drop_cap(budget: float, n: int) -> int:
     """Largest m with m/n <= budget + ulp(budget)/2: the float stands for
     every real that rounds to it, so the float nearest k/n allows k drops."""

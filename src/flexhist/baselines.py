@@ -71,11 +71,13 @@ def exp_mech(kind: StatisticKind, x: Histogram, eps: float, rng: RngStream) -> i
 # propose-test-release (stable values)
 
 
+@lru_cache(maxsize=16)
 def ptr_stability_radius(kind: StatisticKind, x: Histogram) -> int:
     """Exact distance to the nearest histogram whose statistic is unstable.
 
     One step = add or remove one element; "unstable" means a single step
-    changes the statistic or makes it undefined.
+    changes the statistic or makes it undefined.  It depends on the dataset
+    only, so it is computed once per (statistic, dataset).
     """
     c = _counts_vector(x)
     bound = len(c)
@@ -128,6 +130,41 @@ def ptr_mech(kind: StatisticKind, x: Histogram, eps: float, delta: float,
 # over tiny domains in the test suite.
 
 
+_BLOCK = 8192  # elements per temporary array
+
+
+def _pair_max(row: np.ndarray, left, right, beta: float) -> float:
+    """Largest |r - s| * e^{-beta * (row[h, r] + col[h, s])} over the rows h
+    of ``row`` and bars s != r, where col is ``left`` for s < r and
+    ``right`` for s > r; a side given as None has no pairs.  0.0 when there
+    are none.
+
+    The (h, r) pairs go in blocks of max(1, _BLOCK // bars), so no temporary
+    holds much more than _BLOCK elements, and never a bars x bars array.
+    Each cost is the same integer a loop over h and r would sum and goes
+    through the same exp, so the maximum is bit-identical to that loop's.
+    """
+    bars = row.shape[1]
+    flat = row.ravel()
+    s = np.arange(bars)
+    step = max(1, _BLOCK // max(1, bars))
+    best = 0.0
+    for j0 in range(0, flat.size, step):
+        h, r = np.divmod(np.arange(j0, min(j0 + step, flat.size)), bars)
+        gap = s - r[:, None]  # > 0 right of the row's bar, < 0 left of it
+        if right is None:
+            cost, dist = left[h], np.maximum(-gap, 0)
+        elif left is None:
+            cost, dist = right[h], np.maximum(gap, 0)
+        else:
+            cost, dist = np.where(gap < 0, left[h], right[h]), np.abs(gap)
+        # pairs on a wanted side cost >= 0; every other pair has distance 0,
+        # and clamping its cost at 0 keeps its exp finite
+        cost = np.maximum(flat[j0:j0 + len(h), None] + cost, 0)
+        best = max(best, float((dist * np.exp(-beta * cost)).max()))
+    return best
+
+
 def _ss_max(c: np.ndarray, beta: float) -> float:
     bound = len(c)
     idx = np.arange(bound)
@@ -135,64 +172,55 @@ def _ss_max(c: np.ndarray, beta: float) -> float:
     plant = (c == 0).astype(np.int64)
     # one addition at the top bucket swings the max from T to B-1
     best = float(((bound - 1 - idx) * np.exp(-beta * (above + plant))).max())
-    # removal swing: top at T with a single copy, next occupied bar at N
-    base = above + np.where(c >= 1, c - 1, 1)
+    # removal swing: top at T with a single copy, next occupied bar at N < T;
+    # the elements strictly inside (N, T) cost cum[T-1] - cum[N]
     cum = np.cumsum(c)
-    for t in range(1, bound):
-        n = np.arange(t)
-        between = cum[t - 1] - cum[n]  # elements strictly inside (N, T)
-        cost = base[t] + between + plant[n]
-        best = max(best, float(((t - n) * np.exp(-beta * cost)).max()))
-    return best
+    top = above + np.where(c >= 1, c - 1, 1) + cum - c
+    return max(best, _pair_max(top[None], (plant - cum)[None], None, beta))
 
 
 def _ss_maxk(c: np.ndarray, k: int, beta: float) -> float:
-    bound = len(c)
     qual = c >= k
     elimc = np.where(qual, c - k + 1, 0)  # per-bar cost to push below k
     e_above = np.concatenate([np.cumsum(elimc[::-1])[::-1][1:], [0]])
     e_cum = np.cumsum(elimc)
     make_b = np.clip(k - c, 0, None)  # raise bar b to qualify
     exact_b = np.abs(c - k)           # pin bar b at exactly k
-    best = 0.0
-    for b in range(bound):
-        if b + 1 < bound:
-            # addition swing: bar g one short of qualifying, so maxk jumps b -> g;
-            # bars disqualified above b land on k-1 and are free targets
-            g = np.arange(b + 1, bound)
-            lift = np.where(qual[g], 0, k - 1 - c[g])
-            cost = e_above[b] + make_b[b] + lift
-            best = max(best, float(((g - b) * np.exp(-beta * cost)).max()))
-        if b > 0:
-            # removal swing: bar b at exactly k, next qualifying bar at p
-            p = np.arange(b)
-            between = e_cum[b - 1] - e_cum[p]
-            lift_p = np.clip(k - c[p], 0, None)
-            cost = e_above[b] + exact_b[b] + between + lift_p
-            best = max(best, float(((b - p) * np.exp(-beta * cost)).max()))
-    return best
+    # addition swing: bar g > b one short of qualifying, so maxk jumps b -> g;
+    # bars disqualified above b land on k-1 and are free targets
+    lift = np.where(qual, 0, k - 1 - c)
+    best = _pair_max((e_above + make_b)[None], None, lift[None], beta)
+    # removal swing: bar b at exactly k, next qualifying bar at p < b, and
+    # every qualifying bar strictly between them eliminated
+    pinned = e_above + exact_b + e_cum - elimc
+    return max(best, _pair_max(pinned[None], (make_b - e_cum)[None], None, beta))
+
+
+def _mode_base(c: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """Edits that pin the mode at bar b with height h, one row per height in
+    the column h and one column per bar b: trim every bar left of b to h - 1
+    and every bar right of it to h (ties break toward smaller bars), and set
+    bar b to h."""
+    trim_l = np.clip(c - (h - 1), 0, None)
+    trim_r = np.clip(c - h, 0, None)
+    return (np.cumsum(trim_l, axis=1) - trim_l                            # i < b
+            + trim_r.sum(axis=1, keepdims=True) - np.cumsum(trim_r, axis=1)  # i > b
+            + np.abs(c - h))
 
 
 def _ss_mode(c: np.ndarray, beta: float) -> float:
-    bound = len(c)
-    idx = np.arange(bound)
     hs = np.unique(c)
     hs = np.unique(np.concatenate([hs, hs + 1, hs + 2, [1]]))
     hs = hs[hs >= 1]
+    step = max(1, _BLOCK // max(1, len(c)))  # heights per chunk
     best = 0.0
-    for b in range(bound):
-        left = idx < b
-        for h in hs:
-            # mode pinned at bar b with height h; challenger i one step from
-            # taking over (ties break toward smaller bars)
-            cap = np.where(left, h - 1, h)
-            trims = np.clip(c - cap, 0, None)
-            trims[b] = 0
-            base = trims.sum() + abs(int(c[b]) - int(h))
-            cost = base - trims + np.abs(c - cap)  # swap bar i's trim for its exact target
-            vals = np.abs(idx - b) * np.exp(-beta * cost)
-            vals[b] = 0.0
-            best = max(best, float(vals.max()))
+    for i in range(0, len(hs), step):
+        h = hs[i:i + step, None]
+        # challenger i is one step from taking over once its trim to the cap
+        # (h - 1 left of b, h right of it) is swapped for setting it exactly
+        # to the cap: that adds the cap's excess over c_i
+        best = max(best, _pair_max(_mode_base(c, h), np.clip(h - 1 - c, 0, None),
+                                   np.clip(h - c, 0, None), beta))
     return best
 
 

@@ -96,6 +96,11 @@ class Histogram:
     def __setattr__(self, name, value):  # pragma: no cover - guard
         raise AttributeError("Histogram is immutable")
 
+    def __reduce__(self):
+        # rebuild through __init__: the default protocol would set the slots
+        # through the guard above
+        return (Histogram, (dict(self._entries), self.space))
+
     @property
     def size(self) -> int:
         return self._size

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -227,8 +228,14 @@ class BucketSpec:
         return tuple(out)
 
 
+@lru_cache(maxsize=16)
 def mech_bucket(x: Histogram, spec: BucketSpec) -> Histogram:
-    """Deterministic bucketing: every element moves to its cell center."""
+    """Deterministic bucketing: every element moves to its cell center.
+
+    Both arguments are immutable and hashable, and the result depends on
+    nothing else, so each (dataset, spec) is bucketed once and every task on
+    that dataset shares the (immutable) result.
+    """
     if x.space.dimension != spec.d:
         raise DomainError("bucket spec dimension differs from histogram dimension")
     out: dict[Point, int] = {}

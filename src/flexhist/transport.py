@@ -328,10 +328,15 @@ def _min_cost_partial(p: DiscreteDistribution, q: DiscreteDistribution,
             d, u = heapq.heappop(pq)
             if d > dist[u] + 1e-15:
                 continue
+            cost_u, pot_u = net.cost[u], potential[u]
             for v, c in net.cap[u].items():
                 if c <= 0:
                     continue
-                nd = d + net.cost[u][v] + potential[u] - potential[v]
+                # reduced costs are >= 0 in exact arithmetic; float roundoff
+                # can push one below, and a negative edge can close a cycle
+                # in prev, so clamp it at 0
+                rc = cost_u[v] + pot_u - potential[v]
+                nd = d + rc if rc > 0.0 else d
                 if nd < dist[v] - 1e-15:
                     dist[v] = nd
                     prev[v] = u

@@ -3,12 +3,17 @@
 import itertools
 import math
 import random
+import tracemalloc
 from collections import deque
+from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy.stats
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from flexhist import baselines
 from flexhist.baselines import (
     bns_hist,
     bns_mech,
@@ -29,7 +34,8 @@ from flexhist.hist import (
     ParameterError,
     maxk,
 )
-from flexhist.mechanisms import UNDEFINED, RngStream
+from flexhist.bench import gen_dataset, read_config
+from flexhist.mechanisms import UNDEFINED, RngStream, split_seed
 
 B100 = MetricSpace(1, 100.0)
 
@@ -273,6 +279,150 @@ def test_smooth_sensitivity_validation():
         smooth_sensitivity(MAX, tiny_hist([1, 0, 0]), 0.0)
     with pytest.raises(ParameterError):
         smooth_sensitivity(SUPPORT, tiny_hist([1, 0, 0]), 1.0)
+
+
+# The three routines smooth_sensitivity used before they were evaluated in
+# blocks, kept verbatim as references: the library's must return == results.
+
+
+def _ss_max(c: np.ndarray, beta: float) -> float:
+    bound = len(c)
+    idx = np.arange(bound)
+    above = np.concatenate([np.cumsum(c[::-1])[::-1][1:], [0]])  # elements above T
+    plant = (c == 0).astype(np.int64)
+    # one addition at the top bucket swings the max from T to B-1
+    best = float(((bound - 1 - idx) * np.exp(-beta * (above + plant))).max())
+    # removal swing: top at T with a single copy, next occupied bar at N
+    base = above + np.where(c >= 1, c - 1, 1)
+    cum = np.cumsum(c)
+    for t in range(1, bound):
+        n = np.arange(t)
+        between = cum[t - 1] - cum[n]  # elements strictly inside (N, T)
+        cost = base[t] + between + plant[n]
+        best = max(best, float(((t - n) * np.exp(-beta * cost)).max()))
+    return best
+
+
+def _ss_maxk(c: np.ndarray, k: int, beta: float) -> float:
+    bound = len(c)
+    qual = c >= k
+    elimc = np.where(qual, c - k + 1, 0)  # per-bar cost to push below k
+    e_above = np.concatenate([np.cumsum(elimc[::-1])[::-1][1:], [0]])
+    e_cum = np.cumsum(elimc)
+    make_b = np.clip(k - c, 0, None)  # raise bar b to qualify
+    exact_b = np.abs(c - k)           # pin bar b at exactly k
+    best = 0.0
+    for b in range(bound):
+        if b + 1 < bound:
+            # addition swing: bar g one short of qualifying, so maxk jumps b -> g;
+            # bars disqualified above b land on k-1 and are free targets
+            g = np.arange(b + 1, bound)
+            lift = np.where(qual[g], 0, k - 1 - c[g])
+            cost = e_above[b] + make_b[b] + lift
+            best = max(best, float(((g - b) * np.exp(-beta * cost)).max()))
+        if b > 0:
+            # removal swing: bar b at exactly k, next qualifying bar at p
+            p = np.arange(b)
+            between = e_cum[b - 1] - e_cum[p]
+            lift_p = np.clip(k - c[p], 0, None)
+            cost = e_above[b] + exact_b[b] + between + lift_p
+            best = max(best, float(((b - p) * np.exp(-beta * cost)).max()))
+    return best
+
+
+def _ss_mode(c: np.ndarray, beta: float) -> float:
+    bound = len(c)
+    idx = np.arange(bound)
+    hs = np.unique(c)
+    hs = np.unique(np.concatenate([hs, hs + 1, hs + 2, [1]]))
+    hs = hs[hs >= 1]
+    best = 0.0
+    for b in range(bound):
+        left = idx < b
+        for h in hs:
+            # mode pinned at bar b with height h; challenger i one step from
+            # taking over (ties break toward smaller bars)
+            cap = np.where(left, h - 1, h)
+            trims = np.clip(c - cap, 0, None)
+            trims[b] = 0
+            base = trims.sum() + abs(int(c[b]) - int(h))
+            cost = base - trims + np.abs(c - cap)  # swap bar i's trim for its exact target
+            vals = np.abs(idx - b) * np.exp(-beta * cost)
+            vals[b] = 0.0
+            best = max(best, float(vals.max()))
+    return best
+
+
+def _dataset0(name):
+    """Dense counts of dataset 0 of a shipped config, and ss_mech's beta at
+    each epsilon of its grid."""
+    cfg = read_config(str(Path(__file__).resolve().parent.parent / "configs" / f"{name}.cfg"))
+    x = gen_dataset(cfg, RngStream(split_seed(cfg.seed, 0)))
+    betas = [eps / (2.0 * math.log(2.0 / cfg.delta)) for eps in cfg.eps_grid]
+    return [x.count(g) for g in range(cfg.bound)], betas
+
+
+_EXP5, _EXP5_BETAS = _dataset0("exp5")
+_EXP6, _EXP6_BETAS = _dataset0("exp6")
+
+
+@st.composite
+def ss_cases(draw):
+    # few distinct heights keep the references fast at 300 bars and make
+    # ties likely; k sits at or next to one of the heights
+    palette = draw(st.lists(st.integers(0, 400), min_size=1, max_size=6, unique=True))
+    bars = draw(st.integers(1, 300))
+    counts = draw(st.lists(st.sampled_from(palette), min_size=bars, max_size=bars))
+    k = max(1, draw(st.sampled_from(palette)) + draw(st.integers(-1, 1)))
+    beta = draw(st.sampled_from(_EXP5_BETAS + _EXP6_BETAS + [1e-4, 0.5, 3.0])
+                | st.floats(1e-4, 4.0))
+    return counts, k, beta
+
+
+@settings(deadline=None, max_examples=80)
+@given(case=ss_cases())
+@example(case=([7] * 40, 7, 0.05))      # all counts equal, k at the height
+@example(case=([0] * 12, 1, 0.5))       # all zeros
+@example(case=([0, 3, 0, 3, 1, 3], 2, 1.0))  # ties and zeros
+@example(case=([5], 5, 0.01))           # one bar
+@example(case=(_EXP5, 250, _EXP5_BETAS[0]))
+@example(case=(_EXP5, 251, _EXP5_BETAS[-1]))
+@example(case=(_EXP6, 190, _EXP6_BETAS[0]))
+@example(case=(_EXP6, 200, _EXP6_BETAS[-1]))
+def test_smooth_sensitivity_matches_the_per_bar_loops(case):
+    counts, k, beta = case
+    c = np.array(counts, dtype=np.int64)
+    assert baselines._ss_max(c, beta) == _ss_max(c, beta)
+    assert baselines._ss_maxk(c, k, beta) == _ss_maxk(c, k, beta)
+    assert baselines._ss_mode(c, beta) == _ss_mode(c, beta)
+
+
+@pytest.mark.parametrize("block", [1, 60, 120, 10**6])
+def test_smooth_sensitivity_is_the_same_at_any_row_block(monkeypatch, block):
+    # exp5 has 30 bars: heights and (height, bar) rows in blocks of 1 (as
+    # past 8,192 bars), 2, 4 (ragged last blocks) and all at once
+    monkeypatch.setattr(baselines, "_BLOCK", block)
+    c = np.array(_EXP5, dtype=np.int64)
+    beta = _EXP5_BETAS[1]
+    assert baselines._ss_max(c, beta) == _ss_max(c, beta)
+    assert baselines._ss_maxk(c, 250, beta) == _ss_maxk(c, 250, beta)
+    assert baselines._ss_mode(c, beta) == _ss_mode(c, beta)
+
+
+@pytest.mark.parametrize("routine", [
+    lambda c: baselines._ss_max(c, 0.01),
+    lambda c: baselines._ss_maxk(c, 250, 0.01),
+    lambda c: baselines._ss_mode(c, 0.01),
+], ids=["max", "maxk", "mode"])
+def test_smooth_sensitivity_never_holds_a_bars_squared_array(routine):
+    c = np.random.default_rng(5).poisson(250, 600).astype(np.int64)
+    tracemalloc.start()
+    try:
+        routine(c)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20  # one 600 x 600 int64 array alone takes 2.7 MiB
 
 
 def test_ss_mech_centers_on_the_statistic():

@@ -26,7 +26,7 @@ from flexhist.bench import (
     write_csv,
 )
 from flexhist.hist import MIN, SUPPORT, DomainError, ParameterError, maxk
-from flexhist.mechanisms import RngStream, split_seed
+from flexhist.mechanisms import RngStream, mech_bucket, split_seed
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -289,6 +289,16 @@ def test_run_to_csv_golden_bytes(name):
     run_to_csv(cfg, buf)
     digest = hashlib.sha256(buf.getvalue().encode("utf-8")).hexdigest()
     assert digest == GOLDEN_CSV_SHA256[name]
+
+
+@pytest.mark.parametrize("name, distinct", [("exp1", 10), ("exp2", 1)])
+def test_run_experiment_buckets_each_dataset_once(name, distinct):
+    # exp1 draws ten different datasets; exp2's step datasets are all equal
+    cfg = replace(read_config(str(CONFIGS / f"{name}.cfg")), mechanisms=("buckethist",))
+    run_experiment(cfg)
+    info = mech_bucket.cache_info()
+    assert info.misses == distinct
+    assert info.hits + info.misses == cfg.datasets * cfg.runs * len(cfg.eps_grid)
 
 
 def test_write_csv_formatting():

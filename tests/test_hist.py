@@ -1,6 +1,7 @@
 """Data model, ground metrics, statistics, and the histogram text format."""
 
 import math
+import pickle
 
 import pytest
 from hypothesis import given, settings
@@ -107,6 +108,21 @@ def test_histogram_immutable_and_hashable():
     # stored in point order, so insertion order never matters
     y = H({9: 2, 3: 1, 5: 4})
     assert y == H({3: 1, 5: 4, 9: 2}) and hash(y) == hash(H({5: 4, 9: 2, 3: 1}))
+
+
+@pytest.mark.parametrize("x", [
+    H({9: 2, 3: 1, 5: 4}),
+    H({2.5: 3, 0: 1}, MetricSpace(1, 10.0)),
+    H({(1, 2): 3, (0, 7.5): 1}, MetricSpace(2, 8.0)),
+    H({}, MetricSpace(2, 8.0)),
+])
+def test_histogram_pickle_roundtrip(x):
+    hash(x)  # a cached hash must not travel in place of the entries
+    y = pickle.loads(pickle.dumps(x))
+    assert y == x and hash(y) == hash(x)
+    assert list(y.items()) == list(x.items()) and y.size == x.size and y.space == x.space
+    with pytest.raises(AttributeError):
+        y.size = 7
 
 
 def test_histogram_items_sorted():

@@ -285,12 +285,39 @@ def test_w_avg_examples():
     assert w_avg_lossy(p, delta(0), 0.0) == pytest.approx(0.5, abs=1e-12)
 
 
+def _random_dist_2d(rng, space, max_atoms=4, denom=22):
+    """Atoms on the integer grid of a 2-D space: square-root distances."""
+    side = int(space.bound)
+    n = rng.randint(1, max_atoms)
+    cells = rng.sample(range(side * side), n)
+    cuts = sorted(rng.sample(range(1, denom), n - 1)) if n > 1 else []
+    parts = [b - a for a, b in zip([0] + cuts, cuts + [denom])]
+    return dist([(divmod(i, side), Fraction(m, denom)) for i, m in zip(cells, parts)], space)
+
+
 def test_w_avg_matches_lp_oracle():
     rng = random.Random(9)
     for _ in range(60):
         p, q = random_dist(rng), random_dist(rng)
         theta = rng.choice([0, 1, 3, 8, 12]) / 16
         assert w_avg_lossy(p, q, theta) == pytest.approx(_wavg_lp(p, q, theta), abs=1e-7)
+    space = MetricSpace(2, 12.0)
+    rng = random.Random(10)
+    for _ in range(60):
+        p, q = _random_dist_2d(rng, space), _random_dist_2d(rng, space)
+        theta = rng.choice([0, 1, 3, 8, 12]) / 16
+        assert w_avg_lossy(p, q, theta) == pytest.approx(_wavg_lp(p, q, theta), abs=1e-7)
+
+
+def test_w_avg_2d_roundoff_keeps_the_path_tree_acyclic():
+    # float reduced costs went just below zero on this instance, which closed
+    # a cycle in Dijkstra's path tree; augmenting along it never ended
+    space = MetricSpace(2, 12.0)
+    p = dist([((1, 1), Fraction(1, 22)), ((4, 1), Fraction(7, 22)),
+              ((7, 2), Fraction(9, 22)), ((11, 6), Fraction(5, 22))], space)
+    q = delta((3, 8), space)
+    assert w_avg_lossy(p, q, 0.0) == pytest.approx(_wavg_lp(p, q, 0.0), abs=1e-9)
+    assert w_avg_lossy(p, q, 0.0) == pytest.approx(7.404934717584874, abs=1e-12)
 
 
 def test_w_avg_theta_validation():
