@@ -20,7 +20,6 @@ from functools import lru_cache
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.optimize import linprog
 
 from .hist import (
     DomainError,
@@ -74,6 +73,7 @@ def brute_winf_lossy(p: DiscreteDistribution, q: DiscreteDistribution,
 def _deviation_lp(n: int, pm: list[float], qm: list[float],
                   d2: list[list[Fraction]], beta2: Fraction) -> float:
     """min sum|phi1-P| + sum|phi2-Q| over couplings confined to beta-cells."""
+    from scipy.optimize import linprog  # here, so that importing flexhist never loads scipy
     cells = [(i, j) for i in range(n) for j in range(n) if d2[i][j] <= beta2]
     ncells = len(cells)
     nvars = ncells + 2 * n  # phi cells, then u (row slacks), then v (col slacks)
@@ -240,9 +240,8 @@ def _reachable(kind: StatisticKind, x: Histogram, m: int) -> np.ndarray:
     reachable bars are those costing at most m.  O(bars log bars) time and
     O(bars) memory.
     """
-    bars = list(x.items())  # point-sorted ascending
-    pts = np.array([g[0] for g, _ in bars], dtype=float)
-    cnt = np.array([c for _, c in bars], dtype=np.int64)
+    points, cnt = x.bars()  # point-sorted ascending
+    pts = np.array([g[0] for g in points], dtype=float)
     if kind.name == "max":  # drop every element right of the bar
         cost = x.size - np.cumsum(cnt)
     elif kind.name == "min":  # drop every element left of the bar
@@ -311,13 +310,12 @@ _BRUTE_COUNT_GUARD = 12
 
 
 def _sub_histograms(x: Histogram, max_drops: int):
-    bars = list(x.items())
-    ranges = [range(c, -1, -1) for _, c in bars]
+    ranges = [range(c, -1, -1) for _, c in x.items()]
     for counts in itertools.product(*ranges):
         dropped = x.size - sum(counts)
         if dropped > max_drops:
             continue
-        yield Histogram({g: c for (g, _), c in zip(bars, counts) if c > 0}, x.space)
+        yield x.with_counts(counts)
 
 
 def flexible_error_brute(kind: StatisticKind, x: Histogram, released,

@@ -263,14 +263,9 @@ def bns_hist(x: Histogram, eps: float, delta: float, rng: RngStream) -> Histogra
     stability threshold 1 + 2 ln(2/delta)/eps; empty bars are never touched,
     so the output support is a subset of the input support."""
     thr = 1.0 + 2.0 * math.log(2.0 / delta) / eps
-    bars = list(x.items())
-    noise = rng.laplace(2.0 / eps, size=len(bars)).tolist()  # one draw per bar, in order
-    out: dict[tuple, int] = {}
-    for (g, n), z in zip(bars, noise):
-        v = n + z
-        if v > thr:
-            out[g] = round(v)
-    return Histogram(out, x.space)
+    counts = x.bars()[1]
+    v = counts + rng.laplace(2.0 / eps, size=len(counts))  # one draw per bar, in order
+    return x.with_counts(np.where(v > thr, np.rint(v), 0))  # rint: half to even, as round
 
 
 # ---------------------------------------------------------------------------
@@ -291,19 +286,18 @@ def sanpoints(x: Histogram, eps: float, delta: float, k_rounds: int,
     if k_rounds < 1:
         raise ParameterError("k_rounds must be >= 1")
     if len(x) == 0:
-        return Histogram({}, x.space)
+        return x
     if k_rounds > len(x):
         raise ParameterError(f"k_rounds = {k_rounds} exceeds {len(x)} occupied bars")
-    remaining = dict(x.items())
+    heights = x.bars()[1].astype(float)
+    left = list(range(len(heights)))  # bars not yet chosen, in point order
     eps_round = eps / (2.0 * k_rounds)
-    out: dict[tuple, int] = {}
+    out = np.zeros(len(heights))  # unchosen bars, and chosen ones rounding to <= 0, drop out
     for _ in range(k_rounds):
-        pts = list(remaining)  # point order: x's order, kept by pop
-        heights = np.array([remaining[g] for g in pts], dtype=float)
-        w = np.exp(eps_round * (heights - heights.max()) / 2.0)
-        g = pts[rng.choice_weighted(w)]
-        out[g] = max(0, round(remaining.pop(g) + rng.laplace(2.0 * k_rounds / eps)))
-    return Histogram(out, x.space)
+        h = heights[left]
+        i = left.pop(rng.choice_weighted(np.exp(eps_round * (h - h.max()) / 2.0)))
+        out[i] = round(heights[i] + rng.laplace(2.0 * k_rounds / eps))
+    return x.with_counts(out)
 
 
 # ---------------------------------------------------------------------------

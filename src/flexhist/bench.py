@@ -158,6 +158,11 @@ class ExperimentConfig:
             raise ParameterError(f"unknown generator {self.generator!r}")
         if self.generator == "steps" and not self.steps:
             raise ParameterError("steps generator needs a steps = h x w, ... line")
+        if not (math.isfinite(self.median) and 0 < self.cauchy_scale < math.inf
+                and 0 <= self.poisson_mean < math.inf):
+            raise ParameterError("need finite median, cauchy_scale > 0 and poisson_mean >= 0")
+        if self.items < 1 or self.bars < 1 or not 0 <= self.zero_last < self.bound:
+            raise ParameterError("items and bars must be >= 1, and zero_last in [0, bound)")
 
     @property
     def beta_value(self) -> float:

@@ -13,6 +13,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, Union
 
+import numpy as np
+
 Scalar = Union[int, float]
 Point = tuple[Scalar, ...]
 PointLike = Union[Scalar, Point]
@@ -78,7 +80,7 @@ class MetricSpace:
 class Histogram:
     """Immutable sparse histogram: non-negative integer count per ground point."""
 
-    __slots__ = ("_entries", "_size", "space", "_hash")
+    __slots__ = ("_entries", "_size", "space", "_hash", "_bars")
 
     def __init__(self, entries: Mapping[PointLike, int], space: MetricSpace):
         canonical: dict[Point, int] = {}
@@ -89,9 +91,14 @@ class Histogram:
                 continue
             pt = as_point(g, space.dimension)
             canonical[pt] = canonical.get(pt, 0) + int(c)
-        object.__setattr__(self, "_entries", dict(sorted(canonical.items())))
-        object.__setattr__(self, "_size", sum(canonical.values()))
+        self._fill(dict(sorted(canonical.items())), space)
+
+    def _fill(self, entries: dict[Point, int], space: MetricSpace) -> Histogram:
+        # entries: canonical points in ascending order, positive int counts
+        object.__setattr__(self, "_entries", entries)
+        object.__setattr__(self, "_size", sum(entries.values()))
         object.__setattr__(self, "space", space)
+        return self
 
     def __setattr__(self, name, value):  # pragma: no cover - guard
         raise AttributeError("Histogram is immutable")
@@ -113,6 +120,21 @@ class Histogram:
 
     def items(self) -> Iterator[tuple[Point, int]]:
         return iter(self._entries.items())  # point order, fixed at construction
+
+    def bars(self) -> tuple[tuple[Point, ...], np.ndarray]:
+        """(points, counts): the points ascending, their counts as a read-only int64 array."""
+        if not hasattr(self, "_bars"):  # build once, like _hash; the entries never change
+            counts = np.fromiter(self._entries.values(), dtype=np.int64, count=len(self))
+            counts.flags.writeable = False
+            object.__setattr__(self, "_bars", (tuple(self._entries), counts))
+        return self._bars
+
+    def with_counts(self, counts) -> Histogram:
+        """These points with new integral counts, one per bar in point order; <= 0 is left out."""
+        points, counts = self.bars()[0], np.asarray(counts)
+        keep = np.flatnonzero(counts > 0).tolist()
+        entries = dict(zip([points[i] for i in keep], counts[keep].astype(np.int64).tolist()))
+        return object.__new__(Histogram)._fill(entries, self.space)
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -237,23 +259,17 @@ def eval_statistic(kind: StatisticKind, x: Histogram):
         return x.support()
     if x.space.dimension != 1:
         raise DomainError(f"{kind} is defined on 1-D histograms only")
-    bars = [(g[0], c) for g, c in x.items()]
-    if kind.name == "max":
-        return bars[-1][0]
-    if kind.name == "min":
-        return bars[0][0]
+    points, counts = x.bars()
     if kind.name == "maxk":
-        for g, c in reversed(bars):
-            if c >= kind.k:
-                return g
-        raise UndefinedStatisticError(f"no bar reaches count {kind.k}")
-    if kind.name == "mode":
-        best_g, best_c = bars[0]
-        for g, c in bars[1:]:
-            if c > best_c:
-                best_g, best_c = g, c
-        return best_g
-    raise ParameterError(f"unknown statistic {kind!r}")  # pragma: no cover
+        qualifying = np.flatnonzero(counts >= kind.k)
+        if qualifying.size == 0:
+            raise UndefinedStatisticError(f"no bar reaches count {kind.k}")
+        i = qualifying[-1]
+    elif kind.name == "mode":  # argmax takes the first maximum: ties go to the smaller bar
+        i = np.argmax(counts)
+    else:
+        i = -1 if kind.name == "max" else 0
+    return points[i][0]  # the stored Python scalar, not a numpy one
 
 
 # ---------------------------------------------------------------------------

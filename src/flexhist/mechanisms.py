@@ -187,12 +187,9 @@ def mech_trlap(x: Histogram, tau: float, eps: float, rng: RngStream) -> Histogra
     if tau == 0:
         return x
     spec = NoiseSpec(q=tau * x.size, eps=eps)
-    points = [g for g, _ in x.items()]
-    counts = np.array([c for _, c in x.items()], dtype=float)
-    z = trlap_sample(spec, rng, size=len(points))
-    released = np.maximum(0.0, np.floor(counts + z + 0.5))  # round half away, then clamp
-    out = {g: int(c) for g, c in zip(points, released) if c > 0}
-    return Histogram(out, x.space)
+    counts = x.bars()[1]
+    z = trlap_sample(spec, rng, size=len(counts))
+    return x.with_counts(np.floor(counts + z + 0.5))  # round half away; <= 0 is dropped
 
 
 @dataclass(frozen=True)

@@ -126,6 +126,38 @@ def test_config_validation_direct():
         ExperimentConfig(**{**ok, "mechanisms": ()})
 
 
+GENERATOR_CFG = """
+experiment = gen
+statistic = max
+bound = 100
+generator = cauchy
+eps_grid = 1.0
+mechanisms = buckethist
+datasets = 1
+runs = 1
+"""
+
+BAD_GENERATOR_PARAMETERS = [
+    "median = nan", "median = inf",
+    "cauchy_scale = nan", "cauchy_scale = 0", "cauchy_scale = -1", "cauchy_scale = inf",
+    "poisson_mean = -5", "poisson_mean = nan", "poisson_mean = inf",
+    "items = 0", "bars = 0", "zero_last = -1", "zero_last = 100", "zero_last = 150",
+]
+
+
+@pytest.mark.parametrize("line", BAD_GENERATOR_PARAMETERS)
+def test_parse_config_rejects_bad_generator_parameters(line):
+    parse_config(GENERATOR_CFG)
+    with pytest.raises(ParameterError):
+        parse_config(GENERATOR_CFG + line + "\n")
+
+
+@pytest.mark.parametrize("line", ["median = -30", "cauchy_scale = 1e-3", "poisson_mean = 0",
+                                  "items = 1", "bars = 1", "zero_last = 99"])
+def test_parse_config_accepts_edge_generator_parameters(line):
+    parse_config(GENERATOR_CFG + line + "\n")
+
+
 def test_config_rejects_statistics_it_cannot_score_or_release():
     ok = dict(experiment="t", bound=10, generator="poisson", eps_grid=(1.0,))
     with pytest.raises(ParameterError, match="no flexible-error scoring"):

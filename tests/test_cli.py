@@ -1,8 +1,15 @@
 """End-to-end command-line coverage through main(argv)."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from flexhist.cli import main
+
+SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 CFG = """
 experiment = clidemo
@@ -344,3 +351,47 @@ def test_transport_winf_errors(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "error: point -3 outside [0, 5)^1" in captured.err
+
+
+# ---------------------------------------------------------------------------
+# fresh interpreters
+
+
+def _python(*args, timeout=60):
+    env = {**os.environ, "PYTHONPATH": SRC + os.pathsep + os.environ.get("PYTHONPATH", "")}
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True,
+                          env=env, timeout=timeout)
+
+
+def test_import_does_not_load_scipy():
+    done = _python("-c", "import sys, flexhist, flexhist.cli; print('scipy' in sys.modules)")
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "False"
+
+
+GENERATOR_CFG = """
+experiment = gen
+statistic = max
+bound = 100
+eps_grid = 1.0
+mechanisms = buckethist
+datasets = 1
+runs = 1
+"""
+
+
+@pytest.mark.parametrize("lines", [
+    "generator = cauchy\ncauchy_scale = nan\n",  # drew forever
+    "generator = poisson\npoisson_mean = -5\n",  # numpy traceback, empty CSV
+    "generator = cauchy\nzero_last = 150\n",     # emptied bars 50-99 only
+])
+def test_bench_run_rejects_bad_generator_parameters_before_work(tmp_path, lines):
+    cfg = tmp_path / "gen.cfg"
+    cfg.write_text(GENERATOR_CFG + lines)
+    out = tmp_path / "rows.csv"
+    done = _python("-m", "flexhist.cli", "bench", "run", "--config", str(cfg),
+                   "--out", str(out))
+    assert done.returncode == 2
+    assert done.stderr.startswith("error: ")
+    assert "Traceback" not in done.stderr
+    assert not out.exists()
