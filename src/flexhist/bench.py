@@ -161,6 +161,14 @@ class ExperimentConfig:
         if not (math.isfinite(self.median) and 0 < self.cauchy_scale < math.inf
                 and 0 <= self.poisson_mean < math.inf):
             raise ParameterError("need finite median, cauchy_scale > 0 and poisson_mean >= 0")
+        if self.generator == "cauchy":
+            # share of Cauchy draws that land in [0, bound); the generator
+            # redraws the rest, so a tiny share would draw (almost) forever
+            kept = (math.atan((self.bound - self.median) / self.cauchy_scale)
+                    + math.atan(self.median / self.cauchy_scale)) / math.pi
+            if kept < 1e-6:
+                raise ParameterError(f"only {kept:.3g} of the Cauchy draws land in [0, bound),"
+                                     " more than 10^6 draws per kept item")
         if self.items < 1 or self.bars < 1 or not 0 <= self.zero_last < self.bound:
             raise ParameterError("items and bars must be >= 1, and zero_last in [0, bound)")
 

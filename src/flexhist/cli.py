@@ -29,7 +29,8 @@ from .bench import (
     check_releasable,
     derive_mech_params,
     read_config,
-    run_to_csv,
+    run_experiment,
+    write_csv,
 )
 from .certificates import (
     buckethist_accuracy_cert,
@@ -69,11 +70,13 @@ def _cmd_bench_run(args) -> int:
     cfg = read_config(args.config)
     if args.seed is not None:
         cfg = replace(cfg, seed=args.seed)
+    # run before opening --out, so a run that fails leaves no file behind
+    rows, meta = run_experiment(cfg, threads=args.threads)
     if args.out == "-":
-        rows = run_to_csv(cfg, sys.stdout, threads=args.threads)
+        write_csv(rows, meta, sys.stdout)
     else:
         with open(args.out, "w", encoding="utf-8", newline="") as fh:
-            rows = run_to_csv(cfg, fh, threads=args.threads)
+            write_csv(rows, meta, fh)
         print(f"wrote {len(rows)} rows to {args.out}")
     return 0
 

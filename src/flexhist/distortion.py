@@ -7,7 +7,9 @@ move term weighted by eta.  The drop count is forced to ``|x| - |y|``, so
 the optimisation is only over *which* elements survive; that reduces to a
 bipartite feasibility question (can the demands y be met from capacities x
 using only edges of length <= t?) that ``transport``'s threshold flow solves
-exactly, one network grown in distance order, no enumeration of intermediates.
+exactly, with no enumeration of intermediates: by a greedy sweep and an
+integer search over the radius on the line, by one network grown in distance
+order in d >= 2.
 """
 
 from __future__ import annotations

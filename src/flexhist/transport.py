@@ -5,19 +5,24 @@ a reduction: a transport radius ``beta`` is achievable iff the maximum mass
 routable through atom pairs at distance <= beta (source capacities P, sink
 capacities Q) reaches ``1 - gamma``; the remaining mass is parked on
 zero-distance diagonal cells, charging the marginal-deviation budget only.
-The infimum over beta is attained on the set of pairwise distances (plus 0),
-so one flow network, grown by the atom pairs of each distance in increasing
-order with its maximum flow carried over, stops at the exact value: the first
-distance whose flow reaches ``1 - gamma``.  The same threshold flow, on
-integer counts, answers the move term of ``distortion.drmv``.
+The infimum over beta is attained on the set of pairwise distances (plus 0).
+On the line, a greedy sweep finds the maximum flow at one radius and a
+binary search over the integer radii (points scaled to integers) finds the
+smallest feasible one.  In d >= 2, one flow network, grown by the atom pairs
+of each distance in increasing order with its maximum flow carried over,
+stops at the first distance whose flow reaches ``1 - gamma``.  The same
+threshold flow, on integer counts, answers the move term of
+``distortion.drmv``.
 
-All flow arithmetic is exact ``Fraction`` arithmetic: masses coming from
-histograms are exact rationals, and float masses convert to Fractions
-exactly, so the feasibility predicate never suffers roundoff.  Distances are
-compared through exact squared distances; only the final square root is a
-float.  The average-case variant ships mass ``1 - theta`` by successive
-shortest augmenting paths (optimal at every intermediate shipped mass) on
-the same flow network, with edge costs added.
+All flow arithmetic is exact: masses coming from histograms are exact
+rationals and float masses convert to Fractions exactly, so the feasibility
+predicate never suffers roundoff; the line solvers scale points and masses
+by common denominators and run on ints.  Distances are compared exactly;
+only the final square root is a float.  The average-case variant ships mass
+``1 - theta`` by successive shortest augmenting paths, optimal at every
+intermediate shipped mass: on the line, straight walks over one net flow
+per gap between neighbouring points, with the cost summed exactly; in
+d >= 2, Dijkstra on the flow network with float edge costs added.
 """
 
 from __future__ import annotations
@@ -227,8 +232,11 @@ def _threshold_flow(src: Sequence[tuple[Point, MassLike]],
     keeps its flow; it searches again only when a new pair leaves the set
     that the last failed search reached, which is otherwise still closed.
     Returns the radius (the largest one must route ``need``) and a maximum
-    flow there as {(src index, dst index): mass}, sorted by key.
+    flow there as {(src index, dst index): mass}, sorted by key.  On the line
+    the sweep of ``_line_threshold_flow`` answers instead, with no network.
     """
+    if space.dimension == 1:
+        return _line_threshold_flow(src, dst, need)
     ns = len(src)
     net, s, t = _bipartite([c for _, c in src], [c for _, c in dst], ())
     wide = sum(c for _, c in dst)  # the pair capacity of _bipartite
@@ -248,6 +256,62 @@ def _threshold_flow(src: Sequence[tuple[Point, MassLike]],
     flow = {(i, j): b[i] for i in range(ns) for j, b in enumerate(back)
             if b.get(i, 0) > 0}  # = shipped amounts, in (i, j) order
     return beta2, flow
+
+
+def _integers(values: Iterable[MassLike]) -> tuple[int, list[int]]:
+    """A common denominator of ``values`` and each value times it, so that
+    sums and comparisons run on exact ints."""
+    exact = [Fraction(v) for v in values]
+    den = math.lcm(*(v.denominator for v in exact))
+    return den, [v.numerator * (den // v.denominator) for v in exact]
+
+
+def _line_threshold_flow(src: Sequence[tuple[Point, MassLike]],
+                         dst: Sequence[tuple[Point, MassLike]], need: Fraction
+                         ) -> tuple[Fraction, dict[tuple[int, int], Fraction]]:
+    """``_threshold_flow`` in 1-D: a sweep at each probed radius.
+
+    Taken in ascending order, each source fills the leftmost sinks within
+    the radius that still have room.  A source's reachable sinks form an
+    interval whose ends both move right with the source, so the sweep's flow
+    is a maximum flow (Glover's rule for convex bipartite graphs).  Points
+    and capacities are scaled to integers; feasibility changes only at
+    pairwise gaps, which are then integers, so a binary search over the
+    integers in [0, largest gap] lands on the exact radius.
+    """
+    ns = len(src)
+    scale, at = _integers([a[0] for a, _ in src] + [b[0] for b, _ in dst])
+    unit, room = _integers([c for _, c in src] + [c for _, c in dst])
+    goal = math.ceil(need * unit)
+    sources = sorted((x, i) for i, x in enumerate(at[:ns]))
+    sinks = sorted((y, j) for j, y in enumerate(at[ns:], ns))
+    end = len(sinks)
+
+    def sweep(r: int) -> dict[tuple[int, int], int]:
+        left, flow, k = room.copy(), {}, 0
+        for x, i in sources:
+            while k < end and sinks[k][0] < x - r:
+                k += 1  # out of reach of this source and every later one
+            while left[i] and k < end and sinks[k][0] <= x + r:
+                j = sinks[k][1]
+                moved = min(left[i], left[j])
+                flow[i, j - ns] = moved
+                left[i] -= moved
+                left[j] -= moved
+                if not left[j]:
+                    k += 1
+        return flow
+
+    lo = -1
+    hi = max(sinks[-1][0] - sources[0][0], sources[-1][0] - sinks[0][0])
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if sum(sweep(mid).values()) >= goal:
+            hi = mid
+        else:
+            lo = mid
+    flow = sweep(hi)
+    return Fraction(hi, scale) ** 2, {key: Fraction(flow[key], unit) for key in sorted(flow)}
 
 
 def _check_gamma(gamma: float) -> Fraction:
@@ -311,6 +375,8 @@ def w_avg_lossy(p: DiscreteDistribution, q: DiscreteDistribution, theta: float) 
 def _min_cost_partial(p: DiscreteDistribution, q: DiscreteDistribution,
                       target: Fraction) -> float:
     space = p.space
+    if space.dimension == 1:
+        return _line_min_cost_partial(p, q, target)
     net, s, t = _bipartite([m for _, m in p.atoms], [m for _, m in q.atoms],
                            ((i, j, space.distance(a, b))
                             for i, (a, _) in enumerate(p.atoms)
@@ -350,3 +416,60 @@ def _min_cost_partial(p: DiscreteDistribution, q: DiscreteDistribution,
         total_cost += path_cost * float(pushed)
         shipped += pushed
     return total_cost
+
+
+def _line_min_cost_partial(p: DiscreteDistribution, q: DiscreteDistribution,
+                           target: Fraction) -> float:
+    """``_min_cost_partial`` in 1-D: successive shortest paths on the line.
+
+    One node per distinct point and one signed net flow per gap between
+    neighbours.  Crossing a gap against its flow costs -gap, up to that flow,
+    and +gap otherwise, so a gap crossed there and back costs >= 0: with no
+    negative cycle, a shortest augmenting path runs straight from a node with
+    supply left to one with demand left, and ``_shortest_walk`` finds it.
+    Points and masses are scaled to integers, so the cost sums exactly.
+    """
+    atoms = p.atoms + q.atoms
+    scale, at = _integers([g[0] for g, _ in atoms])
+    unit, mass = _integers([m for _, m in atoms] + [target])
+    left = mass.pop()
+    nodes = sorted(set(at))
+    index = {x: k for k, x in enumerate(nodes)}
+    supply, demand = [0] * len(nodes), [0] * len(nodes)
+    for n, (x, m) in enumerate(zip(at, mass)):
+        (supply if n < len(p.atoms) else demand)[index[x]] += m
+    gaps = [b - a for a, b in zip(nodes, nodes[1:])]
+    flow = [0] * len(gaps)  # net flow across each gap, > 0 rightward
+    total = 0
+    while left:
+        cost, a, b = _shortest_walk(supply, demand, gaps, flow)
+        step = 1 if a <= b else -1
+        crossed = range(min(a, b), max(a, b))
+        push = min([left, supply[a], demand[b]]
+                   + [abs(flow[g]) for g in crossed if flow[g] * step < 0])
+        for g in crossed:
+            flow[g] += step * push
+        supply[a] -= push
+        demand[b] -= push
+        left -= push
+        total += push * cost
+    return float(Fraction(total, scale * unit))
+
+
+def _shortest_walk(supply: list[int], demand: list[int], gaps: list[int],
+                   flow: list[int]) -> tuple[int, int, int]:
+    """(cost, start, end) of the cheapest straight walk on the line from a
+    node with supply left to one with demand left: one pass each way, each
+    carrying the cheapest walk that reaches the current node."""
+    best = None
+    for step, order in ((1, range(len(supply))), (-1, range(len(supply) - 1, -1, -1))):
+        run = None  # (cost, start)
+        for k in order:
+            if run is not None:
+                g = k - 1 if step > 0 else k  # the gap just crossed
+                run = (run[0] + (-gaps[g] if flow[g] * step < 0 else gaps[g]), run[1])
+            if supply[k] and (run is None or run[0] > 0):
+                run = (0, k)
+            if demand[k] and run is not None and (best is None or run[0] < best[0]):
+                best = (run[0], run[1], k)
+    return best

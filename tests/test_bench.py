@@ -142,6 +142,7 @@ BAD_GENERATOR_PARAMETERS = [
     "cauchy_scale = nan", "cauchy_scale = 0", "cauchy_scale = -1", "cauchy_scale = inf",
     "poisson_mean = -5", "poisson_mean = nan", "poisson_mean = inf",
     "items = 0", "bars = 0", "zero_last = -1", "zero_last = 100", "zero_last = 150",
+    "median = 1e12\ncauchy_scale = 1",  # about 1e-22 of the draws land in range
 ]
 
 

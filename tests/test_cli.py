@@ -384,6 +384,8 @@ runs = 1
     "generator = cauchy\ncauchy_scale = nan\n",  # drew forever
     "generator = poisson\npoisson_mean = -5\n",  # numpy traceback, empty CSV
     "generator = cauchy\nzero_last = 150\n",     # emptied bars 50-99 only
+    "generator = cauchy\nmedian = 1e12\ncauchy_scale = 1\n",  # drew forever
+    "generator = poisson\nbars = 150\n",  # failed in the run, after opening --out
 ])
 def test_bench_run_rejects_bad_generator_parameters_before_work(tmp_path, lines):
     cfg = tmp_path / "gen.cfg"

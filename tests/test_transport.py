@@ -1,5 +1,6 @@
 """Lossy transport distances against definitions, examples, and an LP oracle."""
 
+import heapq
 import math
 import random
 from fractions import Fraction
@@ -10,6 +11,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linprog
 
+from flexhist import transport
+from flexhist.distortion import drmv, drop_move_switch
 from flexhist.hist import DomainError, Histogram, MetricSpace
 from flexhist.transport import (
     _FUZZ,
@@ -236,7 +239,40 @@ def threshold_cases(draw):
                [((2, 2), Fraction(1))], Fraction(1)))  # only zero-distance pairs
 def test_threshold_flow_matches_the_binary_search(case):
     src, dst, need = case
-    space = MetricSpace(len(src[0][0]), 10.0)
+    _assert_threshold_flow_matches_reference(src, dst, MetricSpace(len(src[0][0]), 10.0), need)
+
+
+#: 1-D coordinates: quarter points or arbitrary floats
+LINE_COORD = st.one_of(st.integers(0, 40).map(lambda k: k / 4),
+                       st.floats(0, 10, allow_nan=False, allow_infinity=False))
+
+
+@st.composite
+def line_threshold_cases(draw):
+    """(src, dst, need) in 1-D: atoms in any order on quarter or arbitrary
+    float points, drawn from a small pool so that points repeat within and
+    across the two sides; capacities in quarters and thirds."""
+    pool = draw(st.lists(LINE_COORD, min_size=1, max_size=6))
+    cap = st.builds(Fraction, st.integers(1, 12), st.sampled_from([3, 4]))
+    atom = st.tuples(st.sampled_from(pool).map(lambda v: (v,)), cap)
+    src = draw(st.lists(atom, min_size=1, max_size=8))
+    dst = draw(st.lists(atom, min_size=1, max_size=8))
+    total = min(sum(c for _, c in src), sum(c for _, c in dst))
+    return src, dst, total * Fraction(draw(st.integers(-2, 16)), 16)
+
+
+@settings(deadline=None, max_examples=200)
+@given(case=line_threshold_cases())
+@example(case=([((0.1,), Fraction(1, 3)), ((0.1,), Fraction(2, 3))],
+               [((0.30000000000000004,), Fraction(1))], Fraction(1)))  # duplicates, float gap
+@example(case=([((2.75,), Fraction(1, 4)), ((0.5,), Fraction(3, 4))],
+               [((2.5,), Fraction(1, 2)), ((0.25,), Fraction(1, 2))], Fraction(3, 4)))  # unsorted
+def test_line_sweep_matches_the_max_flow_oracle(case):
+    src, dst, need = case
+    _assert_threshold_flow_matches_reference(src, dst, MetricSpace(1, 10.0), need)
+
+
+def _assert_threshold_flow_matches_reference(src, dst, space, need):
     want_r2, want_flow = _threshold_flow_reference(src, dst, space, need)
     r2, flow = _threshold_flow(src, dst, space, need)
     assert r2 == want_r2
@@ -323,6 +359,109 @@ def test_w_avg_2d_roundoff_keeps_the_path_tree_acyclic():
 def test_w_avg_theta_validation():
     with pytest.raises(DomainError):
         w_avg_lossy(delta(0), delta(1), 2.0)
+
+
+# ---------------------------------------------------------------------------
+# 1-D average-case transport against the flow network it replaced
+#
+# The network form of _min_cost_partial, kept verbatim as the reference.
+
+
+def _min_cost_partial_reference(p, q, target):
+    space = p.space
+    net, s, t = _bipartite([m for _, m in p.atoms], [m for _, m in q.atoms],
+                           ((i, j, space.distance(a, b))
+                            for i, (a, _) in enumerate(p.atoms)
+                            for j, (b, _) in enumerate(q.atoms)))
+    n = net.n
+    potential = [0.0] * n  # all raw costs >= 0, so Dijkstra works from the start
+    shipped = Fraction(0)
+    total_cost = 0.0
+    while shipped < target:
+        dist = [math.inf] * n
+        prev = [-1] * n
+        dist[s] = 0.0
+        pq = [(0.0, s)]
+        while pq:
+            d, u = heapq.heappop(pq)
+            if d > dist[u] + 1e-15:
+                continue
+            cost_u, pot_u = net.cost[u], potential[u]
+            for v, c in net.cap[u].items():
+                if c <= 0:
+                    continue
+                # reduced costs are >= 0 in exact arithmetic; float roundoff
+                # can push one below, and a negative edge can close a cycle
+                # in prev, so clamp it at 0
+                rc = cost_u[v] + pot_u - potential[v]
+                nd = d + rc if rc > 0.0 else d
+                if nd < dist[v] - 1e-15:
+                    dist[v] = nd
+                    prev[v] = u
+                    heapq.heappush(pq, (nd, v))
+        if prev[t] == -1:
+            break  # cannot ship more (supplies exhausted)
+        for u in range(n):
+            if dist[u] < math.inf:
+                potential[u] += dist[u]
+        pushed, path_cost = net.augment(prev, s, t, target - shipped)
+        total_cost += path_cost * float(pushed)
+        shipped += pushed
+    return total_cost
+
+
+@st.composite
+def line_pairs(draw):
+    """Two 1-D distributions with exact masses on points from one small pool,
+    so that atoms of p and q often share a point."""
+    pool = draw(st.lists(LINE_COORD, min_size=1, max_size=8))
+
+    def distribution():
+        atoms = draw(st.lists(st.tuples(st.sampled_from(pool), st.integers(1, 12)),
+                              min_size=1, max_size=8))
+        total = sum(w for _, w in atoms)
+        return dist([(g, Fraction(w, total)) for g, w in atoms])
+
+    return distribution(), distribution()
+
+
+@settings(deadline=None, max_examples=150)
+@given(pq=line_pairs(), theta=st.one_of(st.sampled_from([0.0, 0.5, 1.0]), st.floats(0, 1)))
+def test_line_w_avg_matches_the_flow_network(pq, theta):
+    p, q = pq
+    want = _min_cost_partial_reference(p, q, 1 - Fraction(theta)) if theta < 1 else 0.0
+    assert w_avg_lossy(p, q, theta) == pytest.approx(want, abs=1e-9)
+
+
+@settings(deadline=None, max_examples=150)
+@given(pq=line_pairs())
+def test_line_w_avg_at_full_mass_is_the_cdf_gap_integral(pq):
+    p, q = pq
+    points = sorted(set(p.points()) | set(q.points()))
+    cdf_p = cdf_q = integral = Fraction(0)
+    for a, b in zip(points, points[1:]):
+        cdf_p += p.mass(a)
+        cdf_q += q.mass(a)
+        integral += abs(cdf_p - cdf_q) * (Fraction(b[0]) - Fraction(a[0]))
+    assert w_avg_lossy(p, q, 0.0) == float(integral)
+
+
+def test_line_solvers_build_no_flow_network(monkeypatch):
+    def refuse(n):
+        raise AssertionError("a 1-D solve built a flow network")
+
+    monkeypatch.setattr(transport, "_FlowNet", refuse)
+    p = dist([(0, Fraction(1, 2)), (2.5, Fraction(1, 2))])
+    q = dist([(1, Fraction(1, 4)), (3, Fraction(3, 4))])
+    assert winf_lossy(p, q, 0.0) == 3.0
+    assert winf_lossy_witness(p, q, 0.25)[0] == 1.0
+    assert w_avg_lossy(p, q, 0.0) == 1.25
+    x = Histogram({0: 2, 3: 1}, SPACE)
+    assert drmv(x, Histogram({1: 1, 3: 1}, SPACE), 1.0).value == pytest.approx(1 / 3 + 1)
+    drop_move_switch(x, Histogram({1: 2, 4: 1}, SPACE), Histogram({1: 1, 4: 1}, SPACE))
+    sp = MetricSpace(2, 10.0)
+    with pytest.raises(AssertionError, match="flow network"):  # d >= 2 keeps the network
+        winf(delta((0, 0), sp), delta((3, 4), sp))
 
 
 # ---------------------------------------------------------------------------
