@@ -237,18 +237,17 @@ def _reachable(kind: StatisticKind, x: Histogram, m: int) -> np.ndarray:
     """Ascending ground points the statistic can take after at most m drops.
 
     Each bar's cost is the fewest drops that make it the statistic; the
-    reachable bars are those costing at most m.  O(bars log bars) time and
-    O(bars) memory.
+    reachable bars are those costing at most m.  Max is maxk with k = 1.
+    O(bars log bars) time and O(bars) memory.
     """
     points, cnt = x.bars()  # point-sorted ascending
     pts = np.array([g[0] for g in points], dtype=float)
-    if kind.name == "max":  # drop every element right of the bar
-        cost = x.size - np.cumsum(cnt)
-    elif kind.name == "min":  # drop every element left of the bar
+    if kind.name == "min":  # drop every element left of the bar
         cost = np.cumsum(cnt) - cnt
-    elif kind.name == "maxk":  # disqualify every qualifying bar to the right
-        ok = cnt >= kind.k
-        trims = np.where(ok, cnt - kind.k + 1, 0)
+    elif kind.name in ("max", "maxk"):  # disqualify every qualifying bar to the right
+        k = kind.k or 1
+        ok = cnt >= k
+        trims = np.where(ok, cnt - k + 1, 0)
         cost = np.where(ok, trims.sum() - np.cumsum(trims), m + 1)  # below k: never
     else:  # mode: trim each rival to below the bar; a smaller point wins ties
         ranked = np.sort(cnt)

@@ -82,13 +82,8 @@ def ptr_stability_radius(kind: StatisticKind, x: Histogram) -> int:
     c = _counts_vector(x)
     bound = len(c)
     f = eval_statistic(kind, x)
-    if kind.name == "max":
-        # anything below the top bucket is one addition away from changing
-        if f < bound - 1:
-            return 0
-        return int(c[f]) - 1
-    if kind.name == "maxk":
-        k = kind.k
+    if kind.name in ("max", "maxk"):  # max is maxk with k = 1
+        k = kind.k or 1
         r = int(c[f]) - k  # removals until one more disqualifies the bar
         above = c[f + 1:]
         if len(above):
@@ -126,8 +121,9 @@ def ptr_mech(kind: StatisticKind, x: Histogram, eps: float, delta: float,
 # d = edit distance from x.  Each statistic admits a complete enumeration of
 # "one step from here changes the answer by v" configurations together with
 # the cheapest edit sequence reaching them; the maxima below range over
-# those canonical events.  Exactness is pinned against brute-force search
-# over tiny domains in the test suite.
+# those canonical events.  Max is maxk with k = 1 and goes through
+# _ss_maxk.  Exactness is pinned against brute-force search over tiny
+# domains in the test suite.
 
 
 _BLOCK = 8192  # elements per temporary array
@@ -163,20 +159,6 @@ def _pair_max(row: np.ndarray, left, right, beta: float) -> float:
         cost = np.maximum(flat[j0:j0 + len(h), None] + cost, 0)
         best = max(best, float((dist * np.exp(-beta * cost)).max()))
     return best
-
-
-def _ss_max(c: np.ndarray, beta: float) -> float:
-    bound = len(c)
-    idx = np.arange(bound)
-    above = np.concatenate([np.cumsum(c[::-1])[::-1][1:], [0]])  # elements above T
-    plant = (c == 0).astype(np.int64)
-    # one addition at the top bucket swings the max from T to B-1
-    best = float(((bound - 1 - idx) * np.exp(-beta * (above + plant))).max())
-    # removal swing: top at T with a single copy, next occupied bar at N < T;
-    # the elements strictly inside (N, T) cost cum[T-1] - cum[N]
-    cum = np.cumsum(c)
-    top = above + np.where(c >= 1, c - 1, 1) + cum - c
-    return max(best, _pair_max(top[None], (plant - cum)[None], None, beta))
 
 
 def _ss_maxk(c: np.ndarray, k: int, beta: float) -> float:
@@ -227,10 +209,8 @@ def _ss_mode(c: np.ndarray, beta: float) -> float:
 @lru_cache(maxsize=512)
 def _ss_cached(kind: StatisticKind, x: Histogram, beta: float) -> float:
     c = _counts_vector(x)
-    if kind.name == "max":
-        return _ss_max(c, beta)
-    if kind.name == "maxk":
-        return _ss_maxk(c, kind.k, beta)
+    if kind.name in ("max", "maxk"):
+        return _ss_maxk(c, kind.k or 1, beta)
     if kind.name == "mode":
         return _ss_mode(c, beta)
     raise ParameterError(f"no smooth-sensitivity routine for {kind}")
@@ -296,8 +276,8 @@ def sanpoints(x: Histogram, eps: float, delta: float, k_rounds: int,
     for _ in range(k_rounds):
         h = heights[left]
         i = left.pop(rng.choice_weighted(np.exp(eps_round * (h - h.max()) / 2.0)))
-        out[i] = round(heights[i] + rng.laplace(2.0 * k_rounds / eps))
-    return x.with_counts(out)
+        out[i] = heights[i] + rng.laplace(2.0 * k_rounds / eps)
+    return x.with_counts(np.rint(out))  # rint: half to even, as round, and inf stays inf
 
 
 # ---------------------------------------------------------------------------

@@ -133,8 +133,10 @@ class ExperimentConfig:
     def __post_init__(self) -> None:
         if not self.eps_grid:
             raise ParameterError("eps_grid must not be empty")
-        if any(not e > 0 for e in self.eps_grid):
-            raise ParameterError("every epsilon must be positive")
+        if any(not 0 < e < math.inf for e in self.eps_grid):
+            raise ParameterError("every epsilon must be finite and positive")
+        if self.beta is not None and not 0 < self.beta < math.inf:
+            raise ParameterError("beta must be finite and positive")
         if not 0 < self.delta < 1:
             raise ParameterError("delta must lie in (0,1)")
         if self.datasets < 1 or self.runs < 1:
@@ -143,8 +145,10 @@ class ExperimentConfig:
             raise ParameterError("drop_budget must lie in [0,1)")
         if not self.bound > 0:
             raise ParameterError("bound must be positive")
-        if not self.scale > 0:
-            raise ParameterError("scale must be positive")
+        if not 0 < self.scale < math.inf:
+            raise ParameterError("scale must be finite and positive")
+        if self.sanpoints_rounds < 1:
+            raise ParameterError("sanpoints_rounds must be >= 1")
         if not self.mechanisms:
             raise ParameterError("mechanism list must not be empty")
         unknown = [m for m in self.mechanisms if m not in MECHANISMS]
@@ -210,8 +214,15 @@ def _parse_number(tok: str) -> float:
     tok = tok.strip()
     if "^" in tok:
         base, exp = tok.split("^", 1)
-        return float(base) ** float(exp)
+        return math.pow(float(base), float(exp))  # ValueError where ** gives a complex or 1/0
     return float(tok)
+
+
+def _convert(key: str, value: str, convert: Callable):
+    try:
+        return convert(value)
+    except (ValueError, OverflowError) as exc:
+        raise ParameterError(f"config key {key!r}: cannot read {value!r} ({exc})") from exc
 
 
 def parse_config(text: str) -> ExperimentConfig:
@@ -246,9 +257,10 @@ def parse_config(text: str) -> ExperimentConfig:
         "generator": raw["generator"].lower(),
     }
     kind = parse_statistic(raw["statistic"],
-                           k=int(raw["k"]) if "k" in raw else None)
+                           k=_convert("k", raw["k"], int) if "k" in raw else None)
     kwargs["statistic"] = kind
-    kwargs["eps_grid"] = tuple(_parse_number(t) for t in raw["eps_grid"].split(","))
+    kwargs["eps_grid"] = tuple(_convert("eps_grid", t, _parse_number)
+                               for t in raw["eps_grid"].split(","))
     if "mechanisms" in raw:
         kwargs["mechanisms"] = tuple(t.strip() for t in raw["mechanisms"].split(","))
     if "steps" in raw:
@@ -262,10 +274,10 @@ def parse_config(text: str) -> ExperimentConfig:
         kwargs["steps"] = tuple(blocks)
     for key in _INT_KEYS - {"k"}:
         if key in raw:
-            kwargs[key] = int(raw[key])
+            kwargs[key] = _convert(key, raw[key], int)
     for key in _FLOAT_KEYS:
         if key in raw:
-            kwargs[key] = _parse_number(raw[key])
+            kwargs[key] = _convert(key, raw[key], _parse_number)
     return ExperimentConfig(**kwargs)
 
 

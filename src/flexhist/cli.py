@@ -14,6 +14,7 @@ Every command is deterministic given its --seed.  Exit codes: 0 success,
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from dataclasses import replace
 from fractions import Fraction
@@ -86,6 +87,12 @@ def _cmd_bench_run(args) -> int:
 
 
 def _cmd_mech_run(args) -> int:
+    if not 0 < args.eps < math.inf:
+        raise ParameterError("--eps must be finite and positive")
+    if not 0 < args.delta < 1:
+        raise ParameterError("--delta must lie in (0,1)")
+    if args.beta is not None and not 0 < args.beta < math.inf:
+        raise ParameterError("--beta must be finite and positive")
     kind = _statistic(args)
     x = _read_input_histogram(args)
     rng = RngStream(args.seed)

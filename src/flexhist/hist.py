@@ -85,8 +85,9 @@ class Histogram:
     def __init__(self, entries: Mapping[PointLike, int], space: MetricSpace):
         canonical: dict[Point, int] = {}
         for g, c in entries.items():
-            if c < 0 or c != int(c):
-                raise DomainError(f"count {c!r} at {g!r} must be a non-negative integer")
+            if not 0 <= c < 2**63 or c != int(c):  # counts are int64 in bars()
+                raise DomainError(f"count {c!r} at {g!r} must be a non-negative integer"
+                                  " below 2^63")
             if c == 0:
                 continue
             pt = as_point(g, space.dimension)
@@ -95,8 +96,11 @@ class Histogram:
 
     def _fill(self, entries: dict[Point, int], space: MetricSpace) -> Histogram:
         # entries: canonical points in ascending order, positive int counts
+        size = sum(entries.values())
+        if size >= 2**63:  # sums of counts are int64 too
+            raise DomainError(f"{size} elements in one histogram, the limit is 2^63 - 1")
         object.__setattr__(self, "_entries", entries)
-        object.__setattr__(self, "_size", sum(entries.values()))
+        object.__setattr__(self, "_size", size)
         object.__setattr__(self, "space", space)
         return self
 
@@ -133,7 +137,11 @@ class Histogram:
         """These points with new integral counts, one per bar in point order; <= 0 is left out."""
         points, counts = self.bars()[0], np.asarray(counts)
         keep = np.flatnonzero(counts > 0).tolist()
-        entries = dict(zip([points[i] for i in keep], counts[keep].astype(np.int64).tolist()))
+        kept = counts[keep]
+        # a float at or past 2^63, inf too, has no int64 to cast to; int64 counts fit
+        if kept.dtype.kind == "f" and (kept >= 2.0**63).any():
+            raise DomainError(f"count {float(kept.max())!r} does not fit int64")
+        entries = dict(zip([points[i] for i in keep], kept.astype(np.int64).tolist()))
         return object.__new__(Histogram)._fill(entries, self.space)
 
     def __len__(self) -> int:

@@ -20,6 +20,7 @@ from flexhist.hist import (
     MAX,
     MIN,
     MODE,
+    DomainError,
     Histogram,
     MetricSpace,
     ParameterError,
@@ -166,6 +167,17 @@ def test_with_counts_leaves_out_nonpositive_and_takes_integral_floats(x, data):
     assert_same(x.with_counts(c), expected)
     assert_same(x.with_counts(np.array(c, dtype=float)), expected)
     assert all(type(v) is int for _, v in x.with_counts(np.array(c, dtype=float)).items())
+
+
+def test_with_counts_rejects_counts_past_int64():
+    x = Histogram({1: 3, 4: 2}, SPACE)
+    for big in (2.0**63, 1e300, math.inf):
+        with pytest.raises(DomainError, match="does not fit int64"):
+            x.with_counts(np.array([1.0, big]))
+    with pytest.raises(DomainError, match="limit is 2\\^63 - 1"):
+        x.with_counts(np.array([2.0**62, 2.0**62]))
+    top = float(np.nextafter(2.0**63, 0))  # the largest float below 2^63 fits
+    assert x.with_counts(np.array([top, -math.inf])).bars()[1].tolist() == [int(top)]
 
 
 # ---------------------------------------------------------------------------

@@ -14,6 +14,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from flexhist import baselines
+from flexhist.audit import _reachable, flexible_error
 from flexhist.baselines import (
     bns_hist,
     bns_mech,
@@ -32,6 +33,7 @@ from flexhist.hist import (
     Histogram,
     MetricSpace,
     ParameterError,
+    eval_statistic,
     maxk,
 )
 from flexhist.bench import gen_dataset, read_config
@@ -283,6 +285,7 @@ def test_smooth_sensitivity_validation():
 
 # The three routines smooth_sensitivity used before they were evaluated in
 # blocks, kept verbatim as references: the library's must return == results.
+# Max now runs as _ss_maxk with k = 1, which must match the _ss_max reference.
 
 
 def _ss_max(c: np.ndarray, beta: float) -> float:
@@ -392,7 +395,7 @@ def ss_cases(draw):
 def test_smooth_sensitivity_matches_the_per_bar_loops(case):
     counts, k, beta = case
     c = np.array(counts, dtype=np.int64)
-    assert baselines._ss_max(c, beta) == _ss_max(c, beta)
+    assert baselines._ss_maxk(c, 1, beta) == _ss_max(c, beta)
     assert baselines._ss_maxk(c, k, beta) == _ss_maxk(c, k, beta)
     assert baselines._ss_mode(c, beta) == _ss_mode(c, beta)
 
@@ -404,13 +407,45 @@ def test_smooth_sensitivity_is_the_same_at_any_row_block(monkeypatch, block):
     monkeypatch.setattr(baselines, "_BLOCK", block)
     c = np.array(_EXP5, dtype=np.int64)
     beta = _EXP5_BETAS[1]
-    assert baselines._ss_max(c, beta) == _ss_max(c, beta)
+    assert baselines._ss_maxk(c, 1, beta) == _ss_max(c, beta)
     assert baselines._ss_maxk(c, 250, beta) == _ss_maxk(c, 250, beta)
     assert baselines._ss_mode(c, beta) == _ss_mode(c, beta)
 
 
+@settings(deadline=None, max_examples=200)
+@given(counts=st.lists(st.integers(0, 6), min_size=1, max_size=40).filter(any),
+       released=st.integers(0, 40))
+@example(counts=[0, 0, 0, 5], released=0)  # max at the top bar
+@example(counts=[3, 0, 1, 0], released=3)  # empty bars above the max
+def test_max_is_maxk_one(counts, released):
+    # max has no code of its own in the baselines and in scoring: it runs as
+    # maxk(1), which must agree with max's own formulas, kept here (and as
+    # _ss_max above) as references
+    x = tiny_hist(counts)
+    c = np.array(counts, dtype=np.int64)
+    one = maxk(1)
+    top = eval_statistic(MAX, x)
+    assert eval_statistic(one, x) == top == _stat_c(MAX, counts)
+    # anything below the top bucket is one addition away from changing
+    assert ptr_stability_radius(one, x) == ptr_stability_radius(MAX, x) == (
+        0 if top < len(c) - 1 else int(c[top]) - 1)
+    occupied = np.flatnonzero(c)
+    # max stays at an occupied bar once every element right of it is dropped
+    drop_right = x.size - np.cumsum(c[occupied])
+    for m in (0, 1, 3, 10, 100):
+        expected = occupied[drop_right <= m].astype(float)
+        assert np.array_equal(_reachable(one, x, m), expected)
+        assert np.array_equal(_reachable(MAX, x, m), expected)
+    for beta in (0.01, 0.1, 0.7, 3.0):
+        assert smooth_sensitivity(one, x, beta) == smooth_sensitivity(MAX, x, beta) == (
+            _ss_max(c, beta))
+    for budget in (0.0, 0.1, 0.5):
+        assert flexible_error(one, x, released, budget) == (
+            flexible_error(MAX, x, released, budget))
+
+
 @pytest.mark.parametrize("routine", [
-    lambda c: baselines._ss_max(c, 0.01),
+    lambda c: baselines._ss_maxk(c, 1, 0.01),
     lambda c: baselines._ss_maxk(c, 250, 0.01),
     lambda c: baselines._ss_mode(c, 0.01),
 ], ids=["max", "maxk", "mode"])
@@ -528,6 +563,17 @@ def test_sanpoints_deterministic_per_seed():
     a = sanpoints(x, 1.0, 0.01, 2, RngStream(3))
     b = sanpoints(x, 1.0, 0.01, 2, RngStream(3))
     assert a == b
+
+
+def test_releases_past_int64_raise_instead_of_wrapping():
+    # the int64 cast used to turn these into bars of count -2^63 and a
+    # negative size; at eps = 1e-310 the noise scale is inf
+    x = Histogram({3: 9, 20: 5, 41: 2}, B100)
+    for eps in (1e-300, 1e-310):
+        with pytest.raises(DomainError, match="does not fit int64"):
+            sanpoints(x, eps, 2**-20, 3, RngStream(1))
+    with pytest.raises(DomainError, match="does not fit int64"):
+        bns_hist(x, 1e-300, 0.99, RngStream(1))
 
 
 # ---------------------------------------------------------------------------

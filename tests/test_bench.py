@@ -104,6 +104,17 @@ def test_parse_config_rejects_malformed_input():
     with pytest.raises(ParameterError, match="needs a steps"):
         parse_config("\n".join(l for l in BASE_CFG.splitlines()
                                if not l.startswith("steps")))
+    # numbers that do not parse name their key instead of escaping as a
+    # plain ValueError or OverflowError
+    for key, old, new in [("bound", "20", "abc"), ("runs", "3", "1.5"),
+                          ("eps_grid", "1.0, 2.0", "0.1, x"), ("delta", "2^-20", "10^400"),
+                          ("delta", "2^-20", "-8^0.5"), ("delta", "2^-20", "0^-1")]:
+        with pytest.raises(ParameterError, match=f"config key '{key}'"):
+            parse_config(BASE_CFG.replace(f"{key} = {old}", f"{key} = {new}"))
+    with pytest.raises(ParameterError, match="config key 'beta'"):
+        parse_config(BASE_CFG + "beta =\n")
+    with pytest.raises(ParameterError, match="config key 'k'"):
+        parse_config(BASE_CFG.replace("statistic = max", "statistic = maxk") + "k = two\n")
 
 
 def test_config_validation_direct():
@@ -124,6 +135,11 @@ def test_config_validation_direct():
         ExperimentConfig(**{**ok, "bound": 0})
     with pytest.raises(ParameterError):
         ExperimentConfig(**{**ok, "mechanisms": ()})
+    for bad in [{"eps_grid": (1.0, math.inf)}, {"beta": math.inf}, {"beta": 0.0},
+                {"beta": -1.0}, {"beta": math.nan}, {"scale": math.inf},
+                {"sanpoints_rounds": 0}]:
+        with pytest.raises(ParameterError):
+            ExperimentConfig(**{**ok, **bad})
 
 
 GENERATOR_CFG = """

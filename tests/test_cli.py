@@ -204,6 +204,35 @@ def test_mech_run_errors(hist_file, capsys):
     assert main(["mech", "run", "--mech", "expmech", "--stat", "max",
                  "--input", "/does/not/exist", "--eps", "1.0"]) == 2
     assert "error:" in capsys.readouterr().err
+    # each of these used to end in a ZeroDivisionError traceback
+    for mech, flags, message in [
+        ("ptr", ["--eps", "0"], "--eps must be finite and positive"),
+        ("bnshist", ["--eps", "0"], "--eps must be finite and positive"),
+        ("sanpoints", ["--eps", "0"], "--eps must be finite and positive"),
+        ("ptr", ["--eps", "1", "--delta", "0"], "--delta must lie in (0,1)"),
+        ("buckethist", ["--eps", "1", "--alpha", "0.5", "--beta", "inf"],
+         "--beta must be finite and positive"),
+    ]:
+        assert main(["mech", "run", "--mech", mech, "--stat", "max",
+                     "--input", hist_file, *flags]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""  # nothing released
+        assert f"error: {message}" in captured.err
+
+
+@pytest.mark.parametrize("text, message", [
+    ("3 9223372036854775808\n", "must be a non-negative integer below 2^63"),
+    ("3 4611686018427387904\n5 4611686018427387904\n", "the limit is 2^63 - 1"),
+])
+def test_cli_rejects_counts_past_int64(tmp_path, capsys, text, message):
+    path = tmp_path / "huge.txt"
+    path.write_text(text)
+    for argv in (["mech", "run", "--mech", "ptr", "--eps", "1"],
+                 ["audit", "flex", "--released", "3"]):
+        assert main(argv + ["--stat", "max", "--input", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert message in captured.err
 
 
 # ---------------------------------------------------------------------------
@@ -380,20 +409,53 @@ runs = 1
 """
 
 
+def _override(base: str, lines: str) -> str:
+    """base with its lines for the keys that lines sets taken out, then lines."""
+    keys = {line.split("=")[0].strip() for line in lines.splitlines()}
+    return "".join(line + "\n" for line in base.splitlines()
+                   if line.split("=")[0].strip() not in keys) + lines
+
+
 @pytest.mark.parametrize("lines", [
     "generator = cauchy\ncauchy_scale = nan\n",  # drew forever
     "generator = poisson\npoisson_mean = -5\n",  # numpy traceback, empty CSV
     "generator = cauchy\nzero_last = 150\n",     # emptied bars 50-99 only
     "generator = cauchy\nmedian = 1e12\ncauchy_scale = 1\n",  # drew forever
     "generator = poisson\nbars = 150\n",  # failed in the run, after opening --out
+    # ValueError or OverflowError tracebacks, exit 1
+    "generator = poisson\nbound = abc\n",
+    "generator = poisson\nruns = 1.5\n",
+    "generator = poisson\neps_grid = 0.1, x\n",
+    "generator = poisson\nbeta =\n",
+    "generator = poisson\ndelta = 10^400\n",
 ])
 def test_bench_run_rejects_bad_generator_parameters_before_work(tmp_path, lines):
     cfg = tmp_path / "gen.cfg"
-    cfg.write_text(GENERATOR_CFG + lines)
+    cfg.write_text(_override(GENERATOR_CFG, lines))
     out = tmp_path / "rows.csv"
     done = _python("-m", "flexhist.cli", "bench", "run", "--config", str(cfg),
                    "--out", str(out))
     assert done.returncode == 2
     assert done.stderr.startswith("error: ")
     assert "Traceback" not in done.stderr
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("lines", [
+    "beta = inf\n",  # ZeroDivisionError
+    "scale = inf\n",  # OverflowError
+    # these failed only mid-run, after the datasets were generated
+    "beta = 0\n", "beta = -1\n", "beta = nan\n", "eps_grid = inf\n",
+    "mechanisms = sanpoints\nsanpoints_rounds = 0\n",
+    # released counts past int64: a wrong 0.000000 row
+    "mechanisms = sanpoints\neps_grid = 1e-300\n",
+])
+def test_bench_run_rejects_bad_values_without_writing(tmp_path, capsys, lines):
+    cfg = tmp_path / "values.cfg"
+    cfg.write_text(_override(GENERATOR_CFG, "generator = poisson\n" + lines))
+    out = tmp_path / "rows.csv"
+    assert main(["bench", "run", "--config", str(cfg), "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ")
+    assert captured.out == ""
     assert not out.exists()

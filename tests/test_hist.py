@@ -96,6 +96,13 @@ def test_histogram_rejects_bad_counts():
         H({0: -1})
     with pytest.raises(DomainError):
         H({0: 1.5})
+    # counts and their sum are int64 in bars() and the numpy layers
+    for c in (2**63, 2.0**63, math.inf, math.nan):
+        with pytest.raises(DomainError, match="below 2\\^63"):
+            H({0: c})
+    with pytest.raises(DomainError, match="limit is 2\\^63 - 1"):
+        H({0: 2**62, 1: 2**62})
+    assert H({0: 2**63 - 1}).bars()[1].tolist() == [2**63 - 1]
 
 
 def test_histogram_immutable_and_hashable():
