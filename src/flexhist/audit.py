@@ -224,10 +224,12 @@ def flexible_error(kind: StatisticKind, x: Histogram, released, budget: float) -
     m = _drop_allowance(budget, x.size)
     if kind.name == "support":
         raise ParameterError(f"no exact flexible-error routine for {kind}")
+    v = float(released)
+    if not math.isfinite(v):  # nan has no nearest point, inf no finite distance
+        raise ParameterError(f"released value {released!r} is not finite")
     reach = _reachable(kind, x, m)
     if reach.size == 0:  # maxk: nothing qualifies even before dropping
         return _full_range(x)
-    v = float(released)
     i = int(np.searchsorted(reach, v))
     return float(np.abs(reach[max(i - 1, 0):i + 1] - v).min())
 

@@ -40,10 +40,14 @@ def _range_bound(x: Histogram) -> int:
 def _counts_vector(x: Histogram) -> np.ndarray:
     bound = _range_bound(x)
     c = np.zeros(bound, dtype=np.int64)
-    for (v,), n in x.items():
-        if v != int(v) or not 0 <= v < bound:
-            raise DomainError(f"baseline mechanisms need integer points in [0, {bound}), got {v!r}")
-        c[int(v)] = n
+    points, counts = x.bars()
+    # exact in float: c holds a slot per integer below bound, so bound < 2^53
+    v = np.array([g[0] for g in points], dtype=float)
+    bad = (v != np.floor(v)) | (v < 0) | (v >= bound)
+    if bad.any():
+        raise DomainError(f"baseline mechanisms need integer points in [0, {bound}),"
+                          f" got {points[np.argmax(bad)][0]!r}")
+    c[v.astype(np.int64)] = counts
     return c
 
 

@@ -162,6 +162,17 @@ class ExperimentConfig:
             raise ParameterError(f"unknown generator {self.generator!r}")
         if self.generator == "steps" and not self.steps:
             raise ParameterError("steps generator needs a steps = h x w, ... line")
+        for height, width in self.steps:
+            if height < 0 or width < 0:
+                raise ParameterError(f"steps block {height}x{width}: height and width"
+                                     " must be >= 0")
+            try:  # gen_dataset puts round(height * scale) in an int64 count
+                fits = round(height * self.scale) < 2**63
+            except OverflowError:  # the height or the product has no float
+                fits = False
+            if not fits:
+                raise ParameterError(f"steps height {height} times scale {self.scale!r}"
+                                     " is 2^63 or more")
         if not (math.isfinite(self.median) and 0 < self.cauchy_scale < math.inf
                 and 0 <= self.poisson_mean < math.inf):
             raise ParameterError("need finite median, cauchy_scale > 0 and poisson_mean >= 0")
@@ -313,8 +324,7 @@ def gen_dataset(cfg: ExperimentConfig, rng: RngStream) -> Histogram:
         if cfg.bars > cfg.bound:
             raise ParameterError("more bars than the bound allows")
         heights = rng.poisson(cfg.poisson_mean * cfg.scale, size=cfg.bars)
-        return Histogram({(g,): int(h) for g, h in enumerate(heights) if h > 0},
-                         space)
+        return Histogram((np.arange(cfg.bars), heights), space)
     # cauchy: inverse-CDF draws, rejecting out-of-range values, then the
     # rightmost zero_last bars are emptied (their items are discarded).
     want = round(cfg.items * cfg.scale)
@@ -330,7 +340,7 @@ def gen_dataset(cfg: ExperimentConfig, rng: RngStream) -> Histogram:
         np.add.at(bars, draws.astype(np.int64), 1)
         kept += draws.size
     bars[keep_below:] = 0
-    return Histogram({(g,): int(c) for g, c in enumerate(bars) if c > 0}, space)
+    return Histogram((np.arange(cfg.bound), bars), space)
 
 
 # ---------------------------------------------------------------------------

@@ -184,7 +184,11 @@ def _cmd_audit_dp(args) -> int:
 def _cmd_audit_flex(args) -> int:
     kind = _statistic(args)
     x = _read_input_histogram(args)
-    released = UNDEFINED if args.released == "undefined" else float(args.released)
+    try:
+        released = UNDEFINED if args.released == "undefined" else float(args.released)
+    except ValueError:
+        raise ParameterError(f"--released {args.released!r} is neither a number"
+                             " nor 'undefined'") from None
     err = flexible_error(kind, x, released, args.budget)
     line = (f"AUDIT flex stat={kind} released={args.released} "
             f"budget={args.budget:.12g} flexible_error={err:.12g}")

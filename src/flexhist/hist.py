@@ -82,7 +82,13 @@ class Histogram:
 
     __slots__ = ("_entries", "_size", "space", "_hash", "_bars")
 
-    def __init__(self, entries: Mapping[PointLike, int], space: MetricSpace):
+    def __init__(self, entries: Mapping[PointLike, int] | tuple[np.ndarray, np.ndarray],
+                 space: MetricSpace):
+        """entries: a ``point -> count`` mapping, or on a 1-D space a pair of
+        arrays (coordinates, counts), checked as the mapping is."""
+        if isinstance(entries, tuple):
+            self._fill_arrays(*entries, space)
+            return
         canonical: dict[Point, int] = {}
         for g, c in entries.items():
             if not 0 <= c < 2**63 or c != int(c):  # counts are int64 in bars()
@@ -92,16 +98,54 @@ class Histogram:
                 continue
             pt = as_point(g, space.dimension)
             canonical[pt] = canonical.get(pt, 0) + int(c)
-        self._fill(dict(sorted(canonical.items())), space)
+        self._fill(dict(sorted(canonical.items())), _checked_size(canonical.values()), space)
 
-    def _fill(self, entries: dict[Point, int], space: MetricSpace) -> Histogram:
+    def _fill_arrays(self, points, counts, space: MetricSpace) -> None:
+        points, counts = np.asarray(points), np.asarray(counts)
+        if space.dimension != 1 or points.ndim != 1 or points.shape != counts.shape:
+            raise DomainError(f"(points, counts) must be 1-D arrays of one length on a 1-D"
+                              f" space, got shapes {points.shape} and {counts.shape}"
+                              f" on dimension {space.dimension}")
+        if points.dtype.kind not in "iuf" or counts.dtype.kind not in "iuf":
+            raise DomainError(f"points and counts must be numbers, got dtypes"
+                              f" {points.dtype} and {counts.dtype}")
+        ok = (counts >= 0) & (counts < 2**63)
+        if counts.dtype.kind == "f":  # NaN fails every comparison
+            ok &= np.floor(counts) == counts
+        if not ok.all():
+            i = np.argmin(ok)
+            raise DomainError(f"count {counts[i].item()!r} at {points[i].item()!r} must be"
+                              " a non-negative integer below 2^63")
+        keep = counts != 0
+        points, counts = points[keep], counts[keep].astype(np.int64)
+        if not np.isfinite(points).all():
+            raise DomainError(f"non-finite coordinate in point"
+                              f" {points[np.argmin(np.isfinite(points))].item()!r}")
+        size = _checked_size(counts.tolist())  # before the merge below can wrap
+        order = np.argsort(points, kind="stable")
+        points, counts = points[order], counts[order]
+        first = np.ones(points.size, dtype=bool)  # equal points merge
+        first[1:] = points[1:] != points[:-1]
+        starts = np.flatnonzero(first)
+        points, counts = points[starts], np.add.reduceat(counts, starts)
+        keys = points.tolist()
+        if points.dtype.kind == "f":  # ints where integral, as in as_point
+            for i in np.flatnonzero(np.floor(points) == points).tolist():
+                keys[i] = int(keys[i])
+        pts = tuple(zip(keys))
+        self._fill(dict(zip(pts, counts.tolist())), size, space, (pts, counts))
+
+    def _fill(self, entries: dict[Point, int], size: int, space: MetricSpace,
+              bars: tuple[tuple[Point, ...], np.ndarray] | None = None) -> Histogram:
         # entries: canonical points in ascending order, positive int counts
-        size = sum(entries.values())
-        if size >= 2**63:  # sums of counts are int64 too
-            raise DomainError(f"{size} elements in one histogram, the limit is 2^63 - 1")
+        # summing to size; bars: the same as bars() returns, where the caller
+        # already holds it as arrays
         object.__setattr__(self, "_entries", entries)
         object.__setattr__(self, "_size", size)
         object.__setattr__(self, "space", space)
+        if bars is not None:
+            bars[1].flags.writeable = False
+            object.__setattr__(self, "_bars", bars)
         return self
 
     def __setattr__(self, name, value):  # pragma: no cover - guard
@@ -136,13 +180,18 @@ class Histogram:
     def with_counts(self, counts) -> Histogram:
         """These points with new integral counts, one per bar in point order; <= 0 is left out."""
         points, counts = self.bars()[0], np.asarray(counts)
-        keep = np.flatnonzero(counts > 0).tolist()
+        keep = np.flatnonzero(counts > 0)
         kept = counts[keep]
         # a float at or past 2^63, inf too, has no int64 to cast to; int64 counts fit
         if kept.dtype.kind == "f" and (kept >= 2.0**63).any():
             raise DomainError(f"count {float(kept.max())!r} does not fit int64")
-        entries = dict(zip([points[i] for i in keep], kept.astype(np.int64).tolist()))
-        return object.__new__(Histogram)._fill(entries, self.space)
+        kept = kept.astype(np.int64)
+        values = kept.tolist()
+        if keep.size < len(points):
+            points = tuple([points[i] for i in keep.tolist()])
+        return object.__new__(Histogram)._fill(dict(zip(points, values)),
+                                               _checked_size(values), self.space,
+                                               (points, kept))
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -163,6 +212,13 @@ class Histogram:
     def __repr__(self) -> str:
         inner = ", ".join(f"{_fmt_point(g)}: {c}" for g, c in self.items())
         return f"Histogram({{{inner}}}, size={self.size})"
+
+
+def _checked_size(counts: Iterable[int]) -> int:
+    size = sum(counts)
+    if size >= 2**63:  # sums of counts are int64 too
+        raise DomainError(f"{size} elements in one histogram, the limit is 2^63 - 1")
+    return size
 
 
 def require_same_space(x: Histogram, y: Histogram) -> None:

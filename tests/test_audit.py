@@ -211,6 +211,9 @@ def test_flexible_error_validation():
         flexible_error(SUPPORT, H({5: 2}), 1.0, 0.1)
     with pytest.raises(DomainError):
         flexible_error(MAX, Histogram({5: 2}, MetricSpace(1)), UNDEFINED, 0.1)
+    for released in (math.nan, math.inf, -math.inf):  # no nearest point, no distance
+        with pytest.raises(ParameterError, match="not finite"):
+            flexible_error(maxk(5), H({5: 2}), released, 0.1)  # even with nothing reachable
 
 
 def test_flexible_error_matches_brute_force():

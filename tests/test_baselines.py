@@ -65,6 +65,33 @@ def _stat_c(kind, c):
     raise AssertionError(kind)
 
 
+def _counts_by_loop(x):
+    """baselines._counts_vector as a loop over the bars."""
+    bound = int(x.space.bound)
+    c = np.zeros(bound, dtype=np.int64)
+    for (v,), n in x.items():
+        if v != int(v) or not 0 <= v < bound:
+            raise DomainError(f"baseline mechanisms need integer points in [0, {bound}), got {v!r}")
+        c[int(v)] = n
+    return c
+
+
+@settings(max_examples=200)
+@given(st.dictionaries(st.one_of(st.integers(-3, 12), st.floats(-3, 12),
+                                 st.sampled_from([1e30, -1e30, 2**60 + 1])),
+                       st.integers(1, 5), max_size=6))
+def test_counts_vector_matches_the_loop(entries):
+    x = Histogram(entries, MetricSpace(1, 10.0))
+    try:
+        want = _counts_by_loop(x)
+    except DomainError as exc:
+        with pytest.raises(DomainError) as got:
+            baselines._counts_vector(x)
+        assert str(got.value) == str(exc)
+        return
+    assert baselines._counts_vector(x).tolist() == want.tolist()
+
+
 # ---------------------------------------------------------------------------
 # exponential mechanism
 

@@ -232,6 +232,22 @@ def test_gen_steps_must_fit_the_bound():
         gen_dataset(_steps_cfg(steps=((5, 21),)), RngStream(0))
 
 
+@pytest.mark.parametrize("steps, scale", [
+    (((-5, 10),), 1.0), (((3, -2),), 1.0), (((1, 2), (-1, 1)), 1.0),
+    (((10**400, 1),), 1.0),  # no float to scale
+    (((2**62, 1),), 2.0),    # a count of 2^63
+    (((10**300, 1),), 1e10),  # the product overflows to inf
+])
+def test_config_rejects_steps_blocks_gen_dataset_cannot_build(steps, scale):
+    with pytest.raises(ParameterError, match="steps"):
+        _steps_cfg(steps=steps, scale=scale)
+
+
+def test_config_accepts_empty_and_large_steps_blocks():
+    x = gen_dataset(_steps_cfg(steps=((0, 3), (2**62, 1), (4, 0))), RngStream(0))
+    assert dict(x.items()) == {(3,): 2**62}
+
+
 def test_gen_poisson():
     cfg = ExperimentConfig(experiment="t", statistic=parse_config(BASE_CFG).statistic,
                            bound=100, generator="poisson", eps_grid=(1.0,),

@@ -324,6 +324,15 @@ def test_audit_flex_rejects_two_dimensional_input(tmp_path, capsys):
     assert "max is defined on 1-D histograms only" in captured.err
 
 
+@pytest.mark.parametrize("released", ["nan", "inf", "-inf", "1e999", "abc", ""])
+def test_audit_flex_rejects_values_that_are_not_finite_numbers(flex_file, capsys, released):
+    # nan printed VIOLATION and exited 1; inf printed flexible_error=inf and exited 0
+    assert main(["audit", "flex", "--stat", "max", "--input", flex_file,
+                 f"--released={released}", "--limit", "5"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: ")
+
+
 def test_audit_flex_undefined_release_scores_the_range(flex_file, capsys):
     assert main(["audit", "flex", "--stat", "max", "--input", flex_file,
                  "--bound", "101", "--released", "undefined"]) == 0
@@ -428,6 +437,11 @@ def _override(base: str, lines: str) -> str:
     "generator = poisson\neps_grid = 0.1, x\n",
     "generator = poisson\nbeta =\n",
     "generator = poisson\ndelta = 10^400\n",
+    # steps blocks: an OverflowError traceback, or a run that exited 0
+    "generator = steps\nsteps = 1" + "0" * 400 + "x1\n",
+    "generator = steps\nsteps = -5x10\n",
+    "generator = steps\nsteps = 3x-2\n",
+    "generator = steps\nsteps = 5x2\nscale = 2e18\n",  # a count of 10^19
 ])
 def test_bench_run_rejects_bad_generator_parameters_before_work(tmp_path, lines):
     cfg = tmp_path / "gen.cfg"

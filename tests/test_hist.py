@@ -3,6 +3,7 @@
 import math
 import pickle
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -135,6 +136,106 @@ def test_histogram_pickle_roundtrip(x):
 def test_histogram_items_sorted():
     x = H({5: 1, 2: 1, 9: 1})
     assert [g for g, _ in x.items()] == [(2,), (5,), (9,)]
+
+
+# ---------------------------------------------------------------------------
+# the (points, counts) array form of the constructor
+
+
+def _merged(pairs):
+    """The mapping the array form's pairs stand for: equal points add up."""
+    out = {}
+    for g, c in pairs:
+        out[g] = out.get(g, 0) + c
+    return out
+
+
+def _same(x, y):
+    assert x == y and hash(x) == hash(y)
+    assert list(x.items()) == list(y.items()) and x.size == y.size
+    (xp, xc), (yp, yc) = x.bars(), y.bars()
+    assert xp == yp and [type(g[0]) for g in xp] == [type(g[0]) for g in yp]
+    assert xc.dtype == yc.dtype == np.int64 and xc.tolist() == yc.tolist()
+    assert not xc.flags.writeable
+
+
+_coords = st.one_of(st.integers(0, 40), st.integers(0, 40).map(float),
+                    st.sampled_from([-0.0, 0.5, 2.25, 1e-9, 39.999]),
+                    st.floats(0, 40, allow_nan=False))
+
+
+@settings(max_examples=200)
+@given(st.lists(st.tuples(_coords, st.integers(0, 5)), max_size=12),
+       st.booleans())
+def test_array_form_equals_mapping_form(pairs, float_counts):
+    points = np.array([g for g, _ in pairs], dtype=float)
+    counts = np.array([c for _, c in pairs], dtype=float if float_counts else np.int64)
+    _same(H((points, counts)), H(_merged(pairs)))
+    if all(isinstance(g, int) for g, _ in pairs):  # an int coordinate array too
+        ints = np.array([g for g, _ in pairs], dtype=np.int64)
+        _same(H((ints, counts)), H(_merged(pairs)))
+
+
+def test_array_form_examples():
+    x = H((np.array([3.0, 1, 2.5, 1, 7, -0.0]), np.array([2, 1, 4, 5, 0, 1])))
+    assert list(x.items()) == [((0,), 1), ((1,), 6), ((2.5,), 4), ((3,), 2)]
+    assert [type(g[0]) for g, _ in x.items()] == [int, int, float, int]
+    assert H((np.array([], dtype=float), np.array([], dtype=np.int64))) == H({})
+    big = H((np.array([0, 1]), np.array([2**63 - 2, 1], dtype=np.uint64)))
+    assert big.size == 2**63 - 1 and big.bars()[1].dtype == np.int64
+
+
+@pytest.mark.parametrize("points, counts", [
+    ([0, 1], [2, -1]),                                   # negative
+    ([0, 1], [2, 1.5]),                                  # not integral
+    ([0], [math.nan]),
+    ([0], [math.inf]),
+    ([0], [2.0**63]),                                    # past int64
+    (np.array([0]), np.array([2**63], dtype=np.uint64)),
+    ([0, 1], [2**62, 2**62]),                            # the total past int64
+    ([0, 0.0], [2**62, 2**62]),                          # ... once merged
+    ([math.nan, 1], [1, 1]),                             # non-finite points
+    ([0, math.inf], [1, 1]),
+    ([0, -math.inf], [1, 1]),
+])
+def test_array_form_rejects_what_the_mapping_form_rejects(points, counts):
+    # scalar and 1-tuple keys alternate, so equal points stay two dict keys
+    mapping = {(g,) if i % 2 else g: c for i, (g, c) in enumerate(zip(points, counts))}
+    with pytest.raises(DomainError) as mapped:
+        H(mapping)
+    with pytest.raises(type(mapped.value)):
+        H((np.array(points), np.array(counts)))
+
+
+def test_array_form_leaves_out_zero_counts_before_checking_points():
+    # the mapping form skips a zero count without looking at its point
+    assert H({math.nan: 0, 1: 2}) == H((np.array([math.nan, 1]), np.array([0, 2])))
+
+
+@pytest.mark.parametrize("points, counts, space", [
+    (np.array([0, 1]), np.array([1]), SPACE),                  # lengths differ
+    (np.array([[0, 1]]), np.array([[1, 1]]), SPACE),           # not 1-D
+    (np.array([0]), np.array([1]), MetricSpace(2, 10.0)),      # a 2-D space
+    (np.array(["a"]), np.array([1]), SPACE),                   # not numbers
+    (np.array([0]), np.array([True]), SPACE),
+])
+def test_array_form_rejects_malformed_arrays(points, counts, space):
+    with pytest.raises(DomainError):
+        Histogram((points, counts), space)
+
+
+def test_array_form_pickle_roundtrip():
+    x = H((np.array([4.0, 0.5, 4]), np.array([1, 3, 2])))
+    y = pickle.loads(pickle.dumps(x))
+    _same(x, y)
+    assert y == H({0.5: 3, 4: 3})
+
+
+def test_with_counts_keeps_its_bars():
+    x = H({1: 3, 2.5: 1, 7: 2})
+    y = x.with_counts(np.array([2.0, 0.0, 5.0]))
+    _same(y, H({1: 2, 7: 5}))
+    assert x.with_counts(np.array([1, 1, 1])).bars()[0] is x.bars()[0]  # all kept: shared
 
 
 # ---------------------------------------------------------------------------

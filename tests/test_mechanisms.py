@@ -1,6 +1,7 @@
 """Seed splitting, truncated-Laplace noise, bucketing, and the combined release."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -294,6 +295,70 @@ def test_mech_bucket_errors():
         mech_bucket(H({100: 1}), BucketSpec(w=10.0, B=100.0))  # 100 not < B
     with pytest.raises(DomainError):
         mech_bucket(H({5: 1}), BucketSpec(w=10.0, B=100.0, d=2))
+
+
+def _bucket_by_dict(x, spec):
+    """mech_bucket as a loop over the bars, the form it keeps for d >= 2."""
+    out = {}
+    for g, c in x.items():
+        if any(not 0 <= v < spec.B for v in g):
+            raise DomainError(f"point {g} outside [0,{spec.B})^{spec.d}")
+        center = spec.center(g)
+        out[center] = out.get(center, 0) + c
+    return Histogram(out, x.space)
+
+
+_widths = st.one_of(st.sampled_from([0.6, 0.3, 2 / 3, 1e-3, 1.0, 7.0, 0.1, 1e-13, 2**-19]),
+                    st.floats(1e-6, 50.0))
+
+
+@settings(max_examples=300)
+@given(_widths,
+       st.lists(st.tuples(st.one_of(st.integers(0, 2999), st.floats(0, 2999.999),
+                                    st.integers(3000, 9000)),  # 3000 + k: k cells from 0
+                          st.integers(1, 4)), max_size=10),
+       st.sampled_from([0.0, -1.0, 3000.0, 1e300]))
+def test_mech_bucket_on_the_line_matches_the_dict_loop(w, bars, outside):
+    # coordinates up to 3,000, where np.round(c, 12) and round(c, 12) part
+    spec = BucketSpec(w=w, B=3000.0)
+    entries = {}
+    for g, c in bars:
+        g = (g - 3000) * w if isinstance(g, int) and g >= 3000 else g  # a cell edge
+        if 0 <= g < 3000:
+            entries[g] = entries.get(g, 0) + c
+    if outside:  # a point left or right of [0, B) on its own, or with the rest
+        entries[outside] = 1
+    x = Histogram(entries, MetricSpace(1, math.inf))
+    try:
+        want = _bucket_by_dict(x, spec)
+    except DomainError as exc:
+        with pytest.raises(DomainError, match=f"^{re.escape(str(exc))}$"):
+            mech_bucket(x, spec)
+        return
+    got = mech_bucket(x, spec)
+    assert got == want and list(got.items()) == list(want.items())
+    assert [type(g[0]) for g, _ in got.items()] == [type(g[0]) for g, _ in want.items()]
+    assert got.bars()[1].tolist() == want.bars()[1].tolist()
+
+
+def test_mech_bucket_on_the_line_pins():
+    x = H({0: 1, 0.6: 2, 1.2: 3, 1.8: 4, 99.9: 5})
+    got = mech_bucket(x, BucketSpec(w=0.6, B=100.0))
+    assert list(got.items()) == [((0.3,), 1), ((0.9,), 2), ((1.5,), 3), ((2.1,), 4),
+                                 ((99.9,), 5)]
+    thirds = mech_bucket(H({0: 1, 1: 2, 2: 3}), BucketSpec(w=2 / 3, B=100.0))
+    assert list(thirds.items()) == [((0.333333333333,), 1), ((1,), 2), ((2.333333333333,), 3)]
+    assert mech_bucket(H({}), BucketSpec(w=0.3, B=100.0)) == H({})
+    # c = 1025.6666666666665: np.round(c, 12) gives 1025.666666666666, round(c, 12) ...667
+    far = mech_bucket(Histogram({1025.5: 1}, MetricSpace(1, 2000.0)),
+                      BucketSpec(w=2 / 3, B=2000.0))
+    assert far.bars()[0] == ((round(2 / 3 * 1538.5, 12),),) == ((1025.666666666667,),)
+    tiny = mech_bucket(H({0: 1}), BucketSpec(w=2**-19, B=100.0))  # 2^-20 has 20 decimals
+    assert tiny.bars()[0] == ((9.53674e-07,),)
+    with pytest.raises(DomainError, match=r"^point \(-1,\) outside \[0,100.0\)\^1$"):
+        mech_bucket(H({-1: 1, 5: 1, 101: 1}), BucketSpec(w=0.3, B=100.0))
+    with pytest.raises(DomainError, match=r"^point \(100.5,\) outside"):
+        mech_bucket(H({5: 1, 100.5: 1, 101: 1}), BucketSpec(w=0.3, B=100.0))
 
 
 @given(st.integers(0, 99), st.integers(0, 99))
