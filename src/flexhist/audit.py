@@ -242,8 +242,7 @@ def _reachable(kind: StatisticKind, x: Histogram, m: int) -> np.ndarray:
     reachable bars are those costing at most m.  Max is maxk with k = 1.
     O(bars log bars) time and O(bars) memory.
     """
-    points, cnt = x.bars()  # point-sorted ascending
-    pts = np.array([g[0] for g in points], dtype=float)
+    cnt, pts = x.bars()[1], x.coordinates()  # point-sorted ascending
     if kind.name == "min":  # drop every element left of the bar
         cost = np.cumsum(cnt) - cnt
     elif kind.name in ("max", "maxk"):  # disqualify every qualifying bar to the right

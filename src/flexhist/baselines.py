@@ -42,7 +42,7 @@ def _counts_vector(x: Histogram) -> np.ndarray:
     c = np.zeros(bound, dtype=np.int64)
     points, counts = x.bars()
     # exact in float: c holds a slot per integer below bound, so bound < 2^53
-    v = np.array([g[0] for g in points], dtype=float)
+    v = x.coordinates()
     bad = (v != np.floor(v)) | (v < 0) | (v >= bound)
     if bad.any():
         raise DomainError(f"baseline mechanisms need integer points in [0, {bound}),"

@@ -93,6 +93,8 @@ def _cmd_mech_run(args) -> int:
         raise ParameterError("--delta must lie in (0,1)")
     if args.beta is not None and not 0 < args.beta < math.inf:
         raise ParameterError("--beta must be finite and positive")
+    if args.bound is not None and not 0 < args.bound < math.inf:
+        raise ParameterError("--bound must be finite and positive")
     kind = _statistic(args)
     x = _read_input_histogram(args)
     rng = RngStream(args.seed)
@@ -117,10 +119,14 @@ def _cmd_mech_run(args) -> int:
             print(f"flag: {flag}")
         released = mech_hbs(kind, x, params, rng)
         _print_release(released)
-        try:
-            print(trlap_dp_cert(args.eps, params.tau, x.size).line())
-        except ParameterError as exc:
-            print(f"CERT dp unavailable: {exc}")
+        if args.alpha is not None:  # the closed form holds for one q on both sides of a pair
+            print("CERT dp unavailable: --alpha fixes tau, so the noise width tau*|x|"
+                  " differs between neighbouring inputs")
+        else:
+            try:
+                print(trlap_dp_cert(args.eps, params.tau, x.size).line())
+            except ParameterError as exc:
+                print(f"CERT dp unavailable: {exc}")
         if FLAG_NO_CERT in flags:
             print("CERT accuracy unavailable: derived alpha >= 1 "
                   "(the run clamps it just below 1)")
@@ -161,7 +167,15 @@ def _cmd_audit_dp(args) -> int:
         ("two-bar", Histogram({0: n - 1, 1: 1}, space), Histogram({0: n - 1}, space)),
     ]
     factory = trlap_pmf_factory(args.tau)
-    eps_grid = [float(t) for t in args.eps_grid.split(",")]
+    try:
+        eps_grid = [float(t) for t in args.eps_grid.split(",")]
+    except ValueError:
+        raise ParameterError(f"--eps-grid {args.eps_grid!r} is not a comma-separated"
+                             " list of numbers") from None
+    if not all(0 < eps < math.inf for eps in eps_grid):
+        raise ParameterError("--eps-grid values must be finite and positive")
+    if not math.isfinite(args.tol):
+        raise ParameterError("--tol must be a finite number")
     violated = False
     for eps in eps_grid:
         bound = trlap_delta(eps, args.tau * n)
@@ -182,6 +196,8 @@ def _cmd_audit_dp(args) -> int:
 
 
 def _cmd_audit_flex(args) -> int:
+    if args.limit is not None and not math.isfinite(args.limit):
+        raise ParameterError("--limit must be a finite number")
     kind = _statistic(args)
     x = _read_input_histogram(args)
     try:

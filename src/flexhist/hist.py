@@ -1,14 +1,15 @@
 """Histogram data model, ground-set metrics and histogram statistics.
 
-Histograms are finite multisets over a bounded Euclidean box [0, B)^d,
-stored sparsely as ``point -> count``.  Ground points are tuples of
-coordinates; 1-D points may be passed as bare scalars anywhere and are
-normalised internally.  All objects are immutable after construction.
+Histograms are finite multisets over a bounded Euclidean box [0, B)^d, stored
+as their occupied points in ascending order and an int64 count for each.  Ground
+points are tuples of coordinates; 1-D points may be passed as bare scalars
+anywhere and are normalised internally.  All objects are immutable after construction.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, Union
@@ -80,7 +81,7 @@ class MetricSpace:
 class Histogram:
     """Immutable sparse histogram: non-negative integer count per ground point."""
 
-    __slots__ = ("_entries", "_size", "space", "_hash", "_bars")
+    __slots__ = ("_bars", "_size", "space", "_hash")
 
     def __init__(self, entries: Mapping[PointLike, int] | tuple[np.ndarray, np.ndarray],
                  space: MetricSpace):
@@ -98,7 +99,9 @@ class Histogram:
                 continue
             pt = as_point(g, space.dimension)
             canonical[pt] = canonical.get(pt, 0) + int(c)
-        self._fill(dict(sorted(canonical.items())), _checked_size(canonical.values()), space)
+        size = _checked_size(canonical.values())  # first: a merged count may not fit int64
+        points = tuple(sorted(canonical))
+        self._fill(points, np.array([canonical[p] for p in points], np.int64), size, space)
 
     def _fill_arrays(self, points, counts, space: MetricSpace) -> None:
         points, counts = np.asarray(points), np.asarray(counts)
@@ -132,20 +135,15 @@ class Histogram:
         if points.dtype.kind == "f":  # ints where integral, as in as_point
             for i in np.flatnonzero(np.floor(points) == points).tolist():
                 keys[i] = int(keys[i])
-        pts = tuple(zip(keys))
-        self._fill(dict(zip(pts, counts.tolist())), size, space, (pts, counts))
+        self._fill(tuple(zip(keys)), counts, size, space)
 
-    def _fill(self, entries: dict[Point, int], size: int, space: MetricSpace,
-              bars: tuple[tuple[Point, ...], np.ndarray] | None = None) -> Histogram:
-        # entries: canonical points in ascending order, positive int counts
-        # summing to size; bars: the same as bars() returns, where the caller
-        # already holds it as arrays
-        object.__setattr__(self, "_entries", entries)
+    def _fill(self, points: tuple[Point, ...], counts: np.ndarray, size: int,
+              space: MetricSpace) -> Histogram:
+        # points canonical and ascending; counts their positive int64 counts, summing to size
+        counts.flags.writeable = False
+        object.__setattr__(self, "_bars", (points, counts))
         object.__setattr__(self, "_size", size)
         object.__setattr__(self, "space", space)
-        if bars is not None:
-            bars[1].flags.writeable = False
-            object.__setattr__(self, "_bars", bars)
         return self
 
     def __setattr__(self, name, value):  # pragma: no cover - guard
@@ -154,28 +152,30 @@ class Histogram:
     def __reduce__(self):
         # rebuild through __init__: the default protocol would set the slots
         # through the guard above
-        return (Histogram, (dict(self._entries), self.space))
+        return (Histogram, (dict(self.items()), self.space))
 
     @property
     def size(self) -> int:
         return self._size
 
     def count(self, g: PointLike) -> int:
-        return self._entries.get(as_point(g, self.space.dimension), 0)
+        points, counts = self._bars
+        i = bisect_left(points, pt := as_point(g, self.space.dimension))
+        return int(counts[i]) if i < len(points) and points[i] == pt else 0
 
     def support(self) -> frozenset[Point]:
-        return frozenset(self._entries)
+        return frozenset(self._bars[0])
 
     def items(self) -> Iterator[tuple[Point, int]]:
-        return iter(self._entries.items())  # point order, fixed at construction
+        return zip(self._bars[0], self._bars[1].tolist())  # ascending point order
 
     def bars(self) -> tuple[tuple[Point, ...], np.ndarray]:
         """(points, counts): the points ascending, their counts as a read-only int64 array."""
-        if not hasattr(self, "_bars"):  # build once, like _hash; the entries never change
-            counts = np.fromiter(self._entries.values(), dtype=np.int64, count=len(self))
-            counts.flags.writeable = False
-            object.__setattr__(self, "_bars", (tuple(self._entries), counts))
         return self._bars
+
+    def coordinates(self) -> np.ndarray:
+        """The points of a 1-D histogram as a float64 array, ascending."""
+        return np.array([v for v, in self._bars[0]], dtype=float)
 
     def with_counts(self, counts) -> Histogram:
         """These points with new integral counts, one per bar in point order; <= 0 is left out."""
@@ -186,26 +186,25 @@ class Histogram:
         if kept.dtype.kind == "f" and (kept >= 2.0**63).any():
             raise DomainError(f"count {float(kept.max())!r} does not fit int64")
         kept = kept.astype(np.int64)
-        values = kept.tolist()
         if keep.size < len(points):
             points = tuple([points[i] for i in keep.tolist()])
-        return object.__new__(Histogram)._fill(dict(zip(points, values)),
-                                               _checked_size(values), self.space,
-                                               (points, kept))
+        size = _checked_size(kept.tolist())
+        return object.__new__(Histogram)._fill(points, kept, size, self.space)
 
     def __len__(self) -> int:
-        return len(self._entries)
+        return len(self._bars[0])
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Histogram):
             return NotImplemented
-        return self.space == other.space and self._entries == other._entries
+        return (self.space == other.space and self._bars[0] == other._bars[0]
+                and self._bars[1].tobytes() == other._bars[1].tobytes())  # both int64
 
     def __hash__(self) -> int:
         try:
             return self._hash
-        except AttributeError:  # first call; the entries never change, so keep it
-            h = hash((self.space, frozenset(self._entries.items())))
+        except AttributeError:  # first call; the bars never change, so keep it
+            h = hash((self.space, self._bars[0], self._bars[1].tobytes()))
             object.__setattr__(self, "_hash", h)
             return h
 
@@ -365,6 +364,8 @@ def parse_histogram_text(text: str, space: MetricSpace | None = None) -> Histogr
             count = int(count_tok)
         except ValueError as exc:
             raise DomainError(f"line {ln}: expected '<ground-point> <count>', got {raw!r}") from exc
+        if count < 0:  # before the sum, where a later line could cancel it
+            raise DomainError(f"line {ln}: count {count} is negative")
         if dim is None:
             dim = len(pt)
         elif len(pt) != dim:

@@ -249,11 +249,11 @@ def mech_bucket(x: Histogram, spec: BucketSpec) -> Histogram:
 def _bucket_line(x: Histogram, spec: BucketSpec) -> Histogram:
     """mech_bucket on the line, in numpy: each occupied cell's centre is
     computed once, as BucketSpec.center computes it."""
-    points, counts = x.bars()  # ascending, so only the ends can leave [0, B)
-    if points and not (0 <= points[0][0] and points[-1][0] < spec.B):
-        g = next(g for g in points if not 0 <= g[0] < spec.B)
-        raise DomainError(f"point {g} outside [0,{spec.B})^{spec.d}")
-    cells = np.floor(np.array([g[0] for g in points], dtype=float) / spec.w)
+    (points, counts), coords = x.bars(), x.coordinates()
+    outside = (coords < 0) | (coords >= spec.B)
+    if outside.any():
+        raise DomainError(f"point {points[np.argmax(outside)]} outside [0,{spec.B})^{spec.d}")
+    cells = np.floor(coords / spec.w)
     starts = np.flatnonzero(np.diff(cells, prepend=-np.inf))  # cells ascend too
     centres = spec.w * (cells[starts] + 0.5)
     # round(c, 12) leaves c as it is where c has at most 12 decimals, as every

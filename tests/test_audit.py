@@ -133,6 +133,20 @@ def test_dp_delta_exact_within_closed_form():
     # rounding to integer counts tightens the law, so no matching lower bound
 
 
+def test_dp_delta_exact_at_fixed_tau_exceeds_the_closed_form():
+    # the bucketed input of `mech run --alpha 0.3 --beta 0.5 --bound 3` on
+    # three bars of 30 has t = 3, so tau = 0.1 and q = tau*90 = 9; the
+    # neighbour's width is tau*89, and delta rises above the closed form
+    x, x2 = H({0: 30, 1: 30, 2: 30}), H({0: 30, 1: 30, 2: 29})
+    moving = dp_delta_exact(AuditInstance(x, x2, trlap_pmf_factory(0.1)), 1.0)
+    assert moving == pytest.approx(0.0152777456895, abs=1e-12)
+    assert moving > trlap_delta(1.0, 9.0)
+    # with q held at 9 on both sides the exact delta is the closed form
+    fixed = AuditInstance(x, x2, lambda c, n, eps: trlap_output_pmf(c, NoiseSpec(q=9, eps=eps)))
+    assert dp_delta_exact(fixed, 1.0) == pytest.approx(0.00965141093268, abs=1e-12)
+    assert dp_delta_exact(fixed, 1.0) == pytest.approx(trlap_delta(1.0, 9.0), abs=1e-15)
+
+
 def test_audit_instance_requires_neighbors():
     with pytest.raises(DomainError):
         AuditInstance(x=H({0: 3}), x2=H({0: 1}), pmf_factory=_fixed_factory)

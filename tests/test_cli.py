@@ -121,6 +121,22 @@ def test_mech_run_buckethist_cert_lines_golden(hist_file, capsys):
         assert [l for l in lines if l.startswith("CERT")] == want
 
 
+def test_mech_run_fixed_alpha_prints_no_dp_certificate(tmp_path, capsys):
+    path = tmp_path / "three.txt"
+    path.write_text("0 30\n1 30\n2 30\n")
+    # tau = 0.1 is fixed, so a neighbour of 89 elements sees q = 8.9, not 9,
+    # and the closed-form delta 0.00965 understates the exact 0.0153
+    assert main(["mech", "run", "--mech", "buckethist", "--stat", "max", "--eps", "1",
+                 "--beta", "0.5", "--alpha", "0.3", "--bound", "3",
+                 "--input", str(path)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert "params: alpha = 0.3  beta = 0.5  w = 1  t = 3  tau = 0.1" in lines
+    assert [l for l in lines if l.startswith("CERT dp")] == [
+        "CERT dp unavailable: --alpha fixes tau, so the noise width tau*|x| differs"
+        " between neighbouring inputs"]
+    assert "CERT accuracy α=0.3 β=0.5 γ=0 distortion=drop (statistic max)" in lines
+
+
 def test_mech_run_buckethist_tiny_input_flags(tmp_path, capsys):
     path = tmp_path / "tiny.txt"
     path.write_text("3 2\n7 1\n")
@@ -212,6 +228,11 @@ def test_mech_run_errors(hist_file, capsys):
         ("ptr", ["--eps", "1", "--delta", "0"], "--delta must lie in (0,1)"),
         ("buckethist", ["--eps", "1", "--alpha", "0.5", "--beta", "inf"],
          "--beta must be finite and positive"),
+        # these two ended in a ValueError and an OverflowError traceback
+        ("buckethist", ["--eps", "1", "--bound", "inf"], "--bound must be finite and positive"),
+        ("buckethist", ["--eps", "1", "--bound", "inf", "--beta", "1"],
+         "--bound must be finite and positive"),
+        ("ptr", ["--eps", "1", "--bound", "0"], "--bound must be finite and positive"),
     ]:
         assert main(["mech", "run", "--mech", mech, "--stat", "max",
                      "--input", hist_file, *flags]) == 2
@@ -223,6 +244,7 @@ def test_mech_run_errors(hist_file, capsys):
 @pytest.mark.parametrize("text, message", [
     ("3 9223372036854775808\n", "must be a non-negative integer below 2^63"),
     ("3 4611686018427387904\n5 4611686018427387904\n", "the limit is 2^63 - 1"),
+    ("3 -1\n3 4\n", "line 1: count -1 is negative"),  # read as 3 elements at 3 before
 ])
 def test_cli_rejects_counts_past_int64(tmp_path, capsys, text, message):
     path = tmp_path / "huge.txt"
@@ -259,6 +281,21 @@ def test_audit_dp_rejects_tiny_n(capsys):
     assert main(["audit", "dp", "--tau", "0.5", "--eps-grid", "1.0",
                  "--n", "1"]) == 2
     assert "at least 2" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--eps-grid", "0.5,x"], "--eps-grid '0.5,x' is not a comma-separated list of numbers"),
+    (["--eps-grid", "0.5,"], "--eps-grid '0.5,' is not a comma-separated list of numbers"),
+    (["--eps-grid", "inf"], "--eps-grid values must be finite and positive"),
+    (["--eps-grid", "0.5,0"], "--eps-grid values must be finite and positive"),
+    (["--eps-grid", "0.5", "--tol", "nan"], "--tol must be a finite number"),
+])
+def test_audit_dp_rejects_unusable_numbers(capsys, flags, message):
+    # a bad epsilon ended in a traceback; a nan tolerance printed VIOLATION and exited 1
+    assert main(["audit", "dp", "--tau", "0.5", "--n", "4", *flags]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"error: {message}" in captured.err
 
 
 def test_audit_dp_rejects_tau_the_mechanism_rejects(capsys):
@@ -331,6 +368,16 @@ def test_audit_flex_rejects_values_that_are_not_finite_numbers(flex_file, capsys
                  f"--released={released}", "--limit", "5"]) == 2
     captured = capsys.readouterr()
     assert captured.out == "" and captured.err.startswith("error: ")
+
+
+@pytest.mark.parametrize("limit", ["nan", "inf", "-inf"])
+def test_audit_flex_rejects_a_limit_that_is_not_a_finite_number(flex_file, capsys, limit):
+    # nan printed VIOLATION and exited 1
+    assert main(["audit", "flex", "--stat", "max", "--input", flex_file,
+                 "--released", "5", f"--limit={limit}"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error: --limit must be a finite number" in captured.err
 
 
 def test_audit_flex_undefined_release_scores_the_range(flex_file, capsys):

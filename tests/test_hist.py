@@ -239,6 +239,60 @@ def test_with_counts_keeps_its_bars():
 
 
 # ---------------------------------------------------------------------------
+# one bar layout, whichever way a histogram is built
+
+
+def _probes(points, dimension):
+    """Every stored point, spelled as given and with integral coordinates as
+    floats (3 and 3.0), and absent points before, between and after them."""
+    out = []
+    for p in points:
+        out += [p, tuple(float(v) for v in p)]
+        out += [(p[0] + shift,) + p[1:] for shift in (-1, -0.25, 0.25, 1)]
+    if dimension == 1:
+        out += [p[0] for p in points] + [float(p[0]) for p in points]  # bare scalars
+    return out
+
+
+@settings(max_examples=200)
+@given(st.integers(1, 2).flatmap(lambda d: st.tuples(
+           st.just(d),
+           st.lists(st.tuples(st.tuples(*[_coords] * d), st.integers(0, 5)), max_size=10),
+           st.lists(st.tuples(*[_coords] * d), max_size=4))))
+def test_every_construction_keeps_one_layout(case):
+    d, pairs, dropped = case
+    space = MetricSpace(d, 50.0)
+    want = {}  # the canonical point -> count mapping the pairs stand for
+    for g, c in pairs:
+        if c:
+            pt = as_point(g, d)
+            want[pt] = want.get(pt, 0) + c
+    built = [Histogram(_merged(pairs), space)]
+    if d == 1:  # the array form is 1-D only
+        built.append(Histogram((np.array([g[0] for g, _ in pairs], dtype=float),
+                                np.array([c for _, c in pairs], dtype=np.int64)), space))
+    # with_counts on a base that also holds the dropped points: their bars go
+    base = Histogram({**{g: 1 for g in want}, **{g: 1 for g in dropped}}, space)
+    built.append(base.with_counts([want.get(g, 0) for g, _ in base.items()]))
+
+    first = built[0]
+    for x in built:
+        assert x == first and hash(x) == hash(first)
+        assert x.support() == frozenset(want) and len(x) == len(want)
+        assert dict(x.items()) == want and x.size == sum(want.values())
+        points, counts = x.bars()
+        assert list(points) == sorted(want) and counts.dtype == np.int64
+        for g in _probes(list(want) + [as_point(g, d) for g in dropped], d):
+            got = x.count(g)
+            assert type(got) is int
+            assert got == dict(x.items()).get(as_point(g, d), 0) == want.get(as_point(g, d), 0)
+        if d == 1:
+            old = np.array([g[0] for g in points], dtype=float)
+            assert x.coordinates().dtype == old.dtype
+            assert x.coordinates().tobytes() == old.tobytes()
+
+
+# ---------------------------------------------------------------------------
 # neighbors
 
 
@@ -403,6 +457,17 @@ def test_parse_histogram_errors():
         parse_histogram_text("3 1\n100 2\n", SPACE)
     with pytest.raises(DomainError, match="outside"):
         parse_histogram_text("-1 3\n2 4\n")
+
+
+@pytest.mark.parametrize("text, line", [
+    ("4 -2\n", 1),
+    ("0 -1\n0 3\n", 1),  # a later line would have cancelled it
+    ("0 3\n0 -1\n", 2),
+    ("1 2\n# note\n5 -7\n", 3),
+])
+def test_parse_histogram_rejects_a_negative_count_on_any_line(text, line):
+    with pytest.raises(DomainError, match=f"^line {line}: count -\\d+ is negative$"):
+        parse_histogram_text(text, SPACE)
 
 
 def test_histogram_text_roundtrip_2d():
