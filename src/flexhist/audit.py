@@ -207,31 +207,43 @@ def _full_range(x: Histogram) -> float:
     return float(bound)
 
 
-def flexible_error(kind: StatisticKind, x: Histogram, released, budget: float) -> float:
+def flexible_error(kind: StatisticKind, x: Histogram, released,
+                   budget: float) -> float | np.ndarray:
     """Min over sub-histograms within the drop budget of |statistic - released|.
 
-    An undefined release scores the full range, same as the benchmark's
-    scoring rule.  The statistic's reachable values depend on x and the
-    drop allowance only, so they are computed once per dataset (cached) and
-    each release is scored by a nearest-point lookup; no enumeration.
+    ``released`` is one value, or a list, tuple or array of them, scored in
+    one pass into a float64 array; one value gives a float.  An undefined
+    release scores the full range, same as the benchmark's scoring rule.
+    The statistic's reachable values depend on x and the drop allowance
+    only, so they are computed once per dataset (cached) and each release
+    is scored by a nearest-point lookup; no enumeration.
     """
+    many = isinstance(released, (list, tuple, np.ndarray))
+    values = released if many else [released]
     if x.size == 0:
         raise DomainError("flexible_error needs a non-empty histogram")
     if kind.name != "support" and x.space.dimension != 1:
         raise DomainError(f"{kind} is defined on 1-D histograms only")
-    if released is UNDEFINED:
-        return _full_range(x)
-    m = _drop_allowance(budget, x.size)
-    if kind.name == "support":
-        raise ParameterError(f"no exact flexible-error routine for {kind}")
-    v = float(released)
-    if not math.isfinite(v):  # nan has no nearest point, inf no finite distance
-        raise ParameterError(f"released value {released!r} is not finite")
-    reach = _reachable(kind, x, m)
-    if reach.size == 0:  # maxk: nothing qualifies even before dropping
-        return _full_range(x)
-    i = int(np.searchsorted(reach, v))
-    return float(np.abs(reach[max(i - 1, 0):i + 1] - v).min())
+    undefined = np.array([v is UNDEFINED for v in values], dtype=bool)
+    out = np.full(len(values), _full_range(x) if undefined.any() else math.nan)
+    if not undefined.all():
+        m = _drop_allowance(budget, x.size)
+        if kind.name == "support":
+            raise ParameterError(f"no exact flexible-error routine for {kind}")
+        defined = [v for v, u in zip(values, undefined) if not u]
+        v = np.array([float(r) for r in defined])
+        bad = np.flatnonzero(~np.isfinite(v))
+        if bad.size:  # nan has no nearest point, inf no finite distance
+            raise ParameterError(f"released value {defined[bad[0]]!r} is not finite")
+        reach = _reachable(kind, x, m)
+        if reach.size == 0:  # maxk: nothing qualifies even before dropping
+            out[~undefined] = _full_range(x)
+        else:  # the nearest reachable point is at i - 1 or i
+            i = np.searchsorted(reach, v)
+            below = reach[np.maximum(i - 1, 0)]
+            above = reach[np.minimum(i, reach.size - 1)]
+            out[~undefined] = np.minimum(np.abs(below - v), np.abs(above - v))
+    return out if many else float(out[0])
 
 
 @lru_cache(maxsize=16)

@@ -8,8 +8,11 @@ flexible error as percentages of the range [0, B).
 
 Determinism contract: identical config + master seed give a byte-identical
 CSV regardless of the worker-thread count.  Every (dataset, run, mechanism,
-epsilon) task derives its own stream seed via split_seed, tasks never share
-mutable state, and aggregation always walks results in fixed index order.
+epsilon) task derives its own stream seed via split_seed (computed for a
+whole dataset at once, bit for bit the same), the (dataset, run) cells that
+threads run never share mutable state (a cell's tasks run in turn, each on
+its own restated stream), and aggregation always walks results in fixed
+index order.
 """
 
 from __future__ import annotations
@@ -40,7 +43,9 @@ from .mechanisms import (
     MechParams,
     RngStream,
     mech_hbs,
+    seed_sequence_words,
     split_seed,
+    split_seed_grid,
 )
 
 DEFAULT_DELTA = 2.0 ** -20
@@ -385,28 +390,26 @@ def _release(name: str, cfg: ExperimentConfig, x: Histogram, eps: float,
             row.flags)
 
 
-def _score(cfg: ExperimentConfig, x: Histogram, truth: int, released):
-    """(plain, flexible) error of one release, both capped at the range."""
+def _run_cell(cfg: ExperimentConfig, x: Histogram, truth: int, seeds: np.ndarray,
+              words: np.ndarray) -> list[tuple[float, float, tuple[str, ...]]]:
+    """All (mechanism, eps) scores of one (dataset, run) task, in grid order.
+
+    ``seeds`` are the tasks' stream seeds in that order and ``words`` their
+    rows of seed_sequence_words; one Generator, restated per task, draws
+    every stream.  The releases are scored in one flexible_error call; the
+    plain and flexible errors are both capped at the range.
+    """
+    gen = np.random.Generator(np.random.PCG64(0))
+    tasks = [(name, eps) for name in cfg.mechanisms for eps in cfg.eps_grid]
+    released, flags = [], []
+    for (name, eps), seed, row in zip(tasks, seeds.tolist(), words.tolist()):
+        value, row_flags = _release(name, cfg, x, eps, RngStream.restate(gen, seed, row))
+        released.append(value)
+        flags.append(row_flags)
     bound = float(cfg.bound)
-    if released is UNDEFINED:
-        plain = bound
-    else:
-        plain = min(abs(float(released) - truth), bound)
-    flex = min(flexible_error(cfg.statistic, x, released, cfg.drop_budget), bound)
-    return plain, flex
-
-
-def _run_cell(cfg: ExperimentConfig, x: Histogram, truth: int,
-              d: int, r: int) -> list[tuple[float, float, tuple[str, ...]]]:
-    """All (mechanism, eps) scores of one (dataset, run) task, in grid order."""
-    out = []
-    for m, name in enumerate(cfg.mechanisms):
-        for e, eps in enumerate(cfg.eps_grid):
-            rng = RngStream(split_seed(cfg.seed, d, r, m, e))
-            released, flags = _release(name, cfg, x, eps, rng)
-            plain, flex = _score(cfg, x, truth, released)
-            out.append((plain, flex, flags))
-    return out
+    plains = [bound if v is UNDEFINED else min(abs(float(v) - truth), bound) for v in released]
+    flexes = np.minimum(flexible_error(cfg.statistic, x, released, cfg.drop_budget), bound)
+    return list(zip(plains, flexes.tolist(), flags))
 
 
 def run_experiment(cfg: ExperimentConfig, threads: int = 1
@@ -431,10 +434,17 @@ def run_experiment(cfg: ExperimentConfig, threads: int = 1
             raise DomainError(f"dataset {d}: statistic undefined on the raw "
                               f"input, nothing to score against") from exc
 
-    tasks = [(d, r) for d in range(cfg.datasets) for r in range(cfg.runs)]
+    # one pass seeds a dataset's runs x mechanisms x eps streams; a run's
+    # tasks are one row of it
+    grid = (cfg.runs, len(cfg.mechanisms), len(cfg.eps_grid))
+    tasks = []
+    for d in range(cfg.datasets):
+        seeds = split_seed_grid(cfg.seed, (d,), grid).reshape(cfg.runs, -1)
+        words = seed_sequence_words(seeds)
+        tasks += [(d, seeds[r], words[r]) for r in range(cfg.runs)]
     with ThreadPoolExecutor(max_workers=threads) as pool:
         cells = list(pool.map(
-            lambda task: _run_cell(cfg, datasets[task[0]], truths[task[0]], *task),
+            lambda task: _run_cell(cfg, datasets[task[0]], truths[task[0]], *task[1:]),
             tasks))
 
     pct = 100.0 / cfg.bound

@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import Sequence
 
 import numpy as np
 
@@ -49,14 +50,115 @@ def split_seed(master: int, *indices: int) -> int:
     return s
 
 
+def _splitmix64_array(z: np.ndarray) -> np.ndarray:
+    """_splitmix64 on a uint64 array (of one dimension or more: numpy wraps
+    array arithmetic silently, but warns on overflow of a scalar)."""
+    z = z + np.uint64(0x9E3779B97F4A7C15)
+    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+    return z ^ (z >> np.uint64(31))
+
+
+def split_seed_grid(master: int, prefix: tuple[int, ...], shape: tuple[int, ...]) -> np.ndarray:
+    """split_seed over a grid of trailing indices, as a uint64 array:
+    out[i, j, ...] == split_seed(master, *prefix, i, j, ...) for every index
+    of ``shape``."""
+    mixed = _splitmix64_array(np.arange(max(shape, default=0), dtype=np.uint64))
+    s = np.full(1, split_seed(master, *prefix), dtype=np.uint64)
+    for n in shape:  # one more index per pass: s gains an axis
+        s = _splitmix64_array(s[..., None] ^ mixed[:n])
+    return s.reshape(shape)
+
+
+# numpy's SeedSequence: an integer seed is split into little-endian uint32
+# words and hashed into a pool of four uint32 words, which then yields the
+# PCG64 seed words.  Each hash multiplies by a running constant that depends
+# only on how many hashes came before, so the constants are fixed here: 4 + 12
+# pool hashes (A) and 8 output words (B), each step reading two constants.
+_M32 = 0xFFFFFFFF
+
+
+def _hash_constants(init: int, mult: int, steps: int) -> np.ndarray:
+    out = [init]
+    for _ in range(steps):
+        out.append(out[-1] * mult & _M32)
+    return np.array(out, dtype=np.uint32)[:, None]  # a column: one row per hash
+
+
+_HASH_A = _hash_constants(0x43B0D7E5, 0x931E8875, 16)
+_HASH_B = _hash_constants(0x8B51F9DD, 0x58F38DED, 8)
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645  # PCG's default 128-bit multiplier
+_M128 = (1 << 128) - 1
+
+
+def _hash32(value: np.ndarray, before: np.ndarray, after: np.ndarray) -> np.ndarray:
+    value = (value ^ before) * after
+    return value ^ (value >> np.uint32(16))
+
+
+def seed_sequence_words(seeds: np.ndarray) -> np.ndarray:
+    """SeedSequence(seed).generate_state(4, np.uint64) for every seed of a
+    uint64 array, on a new last axis of length 4: the words PCG64(seed)
+    seeds itself from (see RngStream.restate).
+
+    numpy's SeedSequence, run over a (4, seeds) uint32 pool.  A seed below
+    2^32 has one entropy word where a larger one has two, but the pool pads
+    with the hash of 0, the high word such a seed has.
+    """
+    seeds = np.asarray(seeds, dtype=np.uint64)
+    flat = seeds.reshape(-1)
+    pool = np.zeros((4, flat.size), dtype=np.uint32)
+    pool[0] = flat & np.uint64(_M32)
+    pool[1] = flat >> np.uint64(32)
+    pool = _hash32(pool, _HASH_A[:4], _HASH_A[1:5])
+    k = 4
+    for src in range(4):  # mix each word into the other three, in order
+        dst = [d for d in range(4) if d != src]
+        mixed = _hash32(pool[src], _HASH_A[k:k + 3], _HASH_A[k + 1:k + 4])
+        k += 3
+        r = np.uint32(0xCA01F9DD) * pool[dst] - np.uint32(0x4973F715) * mixed
+        pool[dst] = r ^ (r >> np.uint32(16))
+    out = _hash32(pool[[0, 1, 2, 3, 0, 1, 2, 3]], _HASH_B[:8], _HASH_B[1:])
+    # little-endian pairs of uint32 make the uint64 words, as in numpy
+    words = np.ascontiguousarray(out.T).astype("<u4", copy=False).view("<u8")
+    return words.astype(np.uint64, copy=False).reshape(seeds.shape + (4,))
+
+
 class RngStream:
-    """Deterministic pseudo-random stream (PCG64 behind numpy's Generator)."""
+    """Deterministic pseudo-random stream (PCG64 behind numpy's Generator).
+
+    RngStream(seed) is np.random.default_rng(seed).  ``restate`` gives the
+    same stream from a Generator that is reused from task to task.
+    """
 
     __slots__ = ("seed", "_gen")
 
     def __init__(self, seed: int):
         self.seed = seed & _M64
         self._gen = np.random.default_rng(self.seed)
+
+    @classmethod
+    def restate(cls, gen: np.random.Generator, seed: int, words: Sequence[int]) -> RngStream:
+        """RngStream(seed), drawn from the PCG64 Generator ``gen``.
+
+        ``words`` is seed's row of seed_sequence_words, as Python ints.
+        PCG64's srandom step turns it into the (state, inc) pair that
+        default_rng(seed) starts from: state 0 steps to inc, adds the seed
+        and steps again, in 128-bit arithmetic.  The 32-bit half-draw that
+        integers() can leave buffered is dropped too, so nothing of the
+        stream ``gen`` ran before carries over.  The stream ends when gen is
+        restated again.
+        """
+        s_hi, s_lo, i_hi, i_lo = words
+        inc = ((i_hi << 64 | i_lo) << 1 | 1) & _M128
+        state = (((s_hi << 64 | s_lo) + inc) * _PCG_MULT + inc) & _M128
+        gen.bit_generator.state = {"bit_generator": "PCG64",
+                                   "state": {"state": state, "inc": inc},
+                                   "has_uint32": 0, "uinteger": 0}
+        stream = cls.__new__(cls)
+        stream.seed = seed
+        stream._gen = gen
+        return stream
 
     def uniform(self, size=None):
         return self._gen.random(size)
@@ -75,7 +177,13 @@ class RngStream:
         total = w.sum()
         if not total > 0:
             raise ParameterError("weights must have positive total")
-        return int(np.searchsorted(np.cumsum(w / total), self._gen.random(), side="right"))
+        c = np.cumsum(w / total)
+        i = int(np.searchsorted(c, self._gen.random(), side="right"))
+        if i < len(c):
+            return i
+        # the draw is at or past c[-1], which rounding can leave below 1: the
+        # pick is the last bar with weight, the first where c reaches c[-1]
+        return int(np.searchsorted(c, c[-1], side="left"))
 
 
 # ---------------------------------------------------------------------------

@@ -307,6 +307,48 @@ def test_flexible_error_matches_brute_force_on_tiny_inputs(entries, kind, releas
     assert flexible_error(kind, x, released, budget) == want
 
 
+@settings(deadline=None, max_examples=150)
+@given(entries=st.dictionaries(st.integers(0, 99), st.integers(1, 6), min_size=1, max_size=10),
+       kind=st.sampled_from(KINDS + (maxk(50),)),  # maxk(50): no bar ever qualifies
+       released=st.lists(st.one_of(st.floats(-50.0, 150.0), st.integers(-50, 150),
+                                   st.just(UNDEFINED)), max_size=12),
+       budget=st.floats(0.0, 0.75),
+       form=st.sampled_from((list, tuple, lambda v: np.array(v, dtype=object))))
+@example(entries={5: 2}, kind=maxk(50), released=[UNDEFINED, 3.0], budget=0.0, form=list)
+@example(entries={5: 2}, kind=MAX, released=[UNDEFINED, UNDEFINED], budget=0.0, form=tuple)
+def test_flexible_error_of_a_sequence_scores_each_value_as_alone(entries, kind, released,
+                                                                 budget, form):
+    x = H(entries)
+    out = flexible_error(kind, x, form(released), budget)
+    assert isinstance(out, np.ndarray) and out.dtype == np.float64
+    singles = [flexible_error(kind, x, v, budget) for v in released]
+    assert all(type(v) is float for v in singles)
+    assert out.tolist() == singles
+
+
+def test_flexible_error_of_a_float_array():
+    x = H({1: 3, 40: 2, 70: 5})
+    values = np.array([0.0, 39.5, 55.0, 99.0])
+    assert flexible_error(MAX, x, values, 0.0).tolist() == [
+        flexible_error(MAX, x, v, 0.0) for v in values] == [70.0, 30.5, 15.0, 29.0]
+    assert flexible_error(MAX, x, (), 0.0).shape == (0,)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, np.float64("nan")])
+def test_flexible_error_of_a_sequence_rejects_what_a_single_value_rejects(bad):
+    x = H({5: 2, 8: 1})
+    with pytest.raises(ParameterError) as alone:
+        flexible_error(MAX, x, bad, 0.1)
+    with pytest.raises(ParameterError) as among:
+        flexible_error(MAX, x, [UNDEFINED, 3.0, bad, 7.0], 0.1)
+    assert str(among.value) == str(alone.value) == f"released value {bad!r} is not finite"
+    with pytest.raises(ParameterError, match="drop budget"):  # as UNDEFINED alone does not
+        flexible_error(MAX, x, [UNDEFINED, 3.0], 1.0)
+    assert flexible_error(MAX, x, [UNDEFINED], 1.0).tolist() == [100.0]
+    with pytest.raises(DomainError):
+        flexible_error(MAX, Histogram({5: 2}, MetricSpace(1)), [3.0, UNDEFINED], 0.1)
+
+
 # The three routines flexible_error used before the reachable-set cache,
 # kept verbatim as references for medium inputs the brute force cannot reach.
 

@@ -8,6 +8,8 @@ from pathlib import Path
 
 import pytest
 
+from flexhist import bench
+from flexhist.audit import flexible_error
 from flexhist.bench import (
     CSV_COLUMNS,
     DEFAULT_DELTA,
@@ -347,6 +349,7 @@ def test_run_experiment_rejects_bad_inputs():
         run_experiment(undefined)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")  # uint64 wraparound on a numpy scalar
 @pytest.mark.parametrize("name", sorted(GOLDEN_CSV_SHA256))
 def test_run_to_csv_golden_bytes(name):
     cfg = replace(read_config(str(CONFIGS / f"{name}.cfg")), datasets=2, runs=2)
@@ -354,6 +357,33 @@ def test_run_to_csv_golden_bytes(name):
     run_to_csv(cfg, buf)
     digest = hashlib.sha256(buf.getvalue().encode("utf-8")).hexdigest()
     assert digest == GOLDEN_CSV_SHA256[name]
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_run_to_csv_reads_the_master_seed_modulo_2_64():
+    cfg = replace(read_config(str(CONFIGS / "exp5.cfg")), datasets=2, runs=2)
+    texts = []
+    for seed in (-1, 2**64 - 1):
+        buf = io.StringIO()
+        run_to_csv(replace(cfg, seed=seed), buf)
+        texts.append(buf.getvalue())
+    assert "master_seed = -1" in texts[0]  # the echo of the config is the one difference
+    assert texts[0].replace("master_seed = -1", f"master_seed = {2**64 - 1}") == texts[1]
+
+
+def test_run_experiment_scores_each_cell_through_the_traced_name(monkeypatch):
+    # perfbench traces audit.flexible_error by wrapping bench.flexible_error
+    assert bench.flexible_error is flexible_error
+    calls = []
+
+    def counted(kind, x, released, budget):
+        calls.append(len(released))
+        return flexible_error(kind, x, released, budget)
+
+    monkeypatch.setattr(bench, "flexible_error", counted)
+    cfg = parse_config(BASE_CFG)
+    run_experiment(cfg, threads=2)
+    assert calls == [len(cfg.mechanisms) * len(cfg.eps_grid)] * (cfg.datasets * cfg.runs)
 
 
 @pytest.mark.parametrize("name, distinct", [("exp1", 10), ("exp2", 1)])

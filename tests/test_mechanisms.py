@@ -30,7 +30,9 @@ from flexhist.mechanisms import (
     mech_buckethist,
     mech_hbs,
     mech_trlap,
+    seed_sequence_words,
     split_seed,
+    split_seed_grid,
     trlap_cdf,
     trlap_output_pmf,
     trlap_sample,
@@ -67,6 +69,64 @@ def test_split_seed_range_and_determinism(master, indices):
     assert s == split_seed(master, *indices)
 
 
+@settings(max_examples=200)
+@given(st.one_of(st.integers(-2**70, -1), st.integers(2**64, 2**70), st.integers(0, 2**64 - 1)),
+       st.lists(st.integers(-2**65, 2**65), max_size=2),
+       st.lists(st.integers(1, 4), min_size=1, max_size=3))
+def test_split_seed_grid_matches_split_seed(master, prefix, shape):
+    grid = split_seed_grid(master, tuple(prefix), tuple(shape))
+    assert grid.dtype == np.uint64 and grid.shape == tuple(shape)
+    for index in np.ndindex(*shape):
+        assert int(grid[index]) == split_seed(master, *prefix, *index)
+
+
+EDGE_SEEDS = [0, 1, 2**32 - 1, 2**32, 2**64 - 1]
+
+
+def _check_seeding(seeds):
+    words = seed_sequence_words(np.array(seeds, dtype=np.uint64))
+    assert words.dtype == np.uint64 and words.shape == (len(seeds), 4)
+    gen = np.random.Generator(np.random.PCG64(0))
+    for seed, row in zip(seeds, words.tolist()):
+        assert row == np.random.SeedSequence(seed).generate_state(4, np.uint64).tolist()
+        RngStream.restate(gen, seed, row)
+        assert gen.bit_generator.state == np.random.default_rng(seed).bit_generator.state
+
+
+def test_seeding_matches_default_rng_at_the_word_edges():
+    _check_seeding(EDGE_SEEDS)
+    grid = seed_sequence_words(np.array(EDGE_SEEDS, dtype=np.uint64).reshape(5, 1))
+    assert grid.shape == (5, 1, 4)  # the words go on a new last axis
+
+
+@settings(max_examples=100)
+@given(st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=40))
+def test_seeding_matches_default_rng(seeds):
+    _check_seeding(seeds)
+
+
+def _draws(rng):
+    # 32-bit integers first: a buffered half-draw would show in the first one
+    return (rng.integers(0, 100, 3).tolist(), rng.uniform(3).tolist(),
+            rng.laplace(2.0, 3).tolist(), rng.integers(0, 2**40, 2).tolist(),
+            rng.poisson(7.0, 3).tolist(), rng.choice_weighted(np.arange(1.0, 9.0)))
+
+
+@settings(max_examples=50)
+@given(st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=6),
+       st.integers(0, 3).map(lambda k: 2 * k + 1))
+def test_restated_streams_draw_what_fresh_streams_draw(seeds, odd):
+    gen = np.random.Generator(np.random.PCG64(0))
+    words = seed_sequence_words(np.array(seeds, dtype=np.uint64)).tolist()
+    for seed, row in zip(seeds, words):
+        # an odd number of 32-bit draws past any buffered one leaves a half-draw buffered
+        gen.integers(0, 100, size=odd + gen.bit_generator.state["has_uint32"])
+        assert gen.bit_generator.state["has_uint32"] == 1
+        stream = RngStream.restate(gen, seed, row)
+        assert stream.seed == seed
+        assert _draws(stream) == _draws(RngStream(seed))
+
+
 def test_rng_stream_same_seed_same_draws():
     a = RngStream(12345)
     b = RngStream(12345)
@@ -92,6 +152,24 @@ def test_choice_weighted_frequencies():
     hits = sum(rng.choice_weighted(np.array([1.0, 3.0])) for _ in range(n))
     # P(index 1) = 0.75; allow five binomial standard deviations
     assert abs(hits / n - 0.75) < 5 * math.sqrt(0.75 * 0.25 / n)
+
+
+class _TopDraw:
+    """A generator stand-in whose uniform draw is the largest float below 1."""
+
+    def random(self, size=None):
+        return np.nextafter(1.0, 0.0)
+
+
+@pytest.mark.parametrize("weights, want", [
+    (np.ones(255), 254),  # normalised cumsum ends at 0.9999999999999969
+    (np.concatenate((np.ones(255), [0.0, 0.0])), 254),  # the last bar with weight
+])
+def test_choice_weighted_never_picks_past_the_last_weighted_bar(weights, want):
+    assert np.cumsum(weights / weights.sum())[-1] < np.nextafter(1.0, 0.0)
+    rng = RngStream(0)
+    rng._gen = _TopDraw()
+    assert rng.choice_weighted(weights) == want
 
 
 def test_choice_weighted_rejects_zero_total():
