@@ -207,6 +207,14 @@ def _full_range(x: Histogram) -> float:
     return float(bound)
 
 
+def _as_float(r) -> float:
+    """float(r), or inf for a number beyond the float range (not finite either)."""
+    try:
+        return float(r)
+    except OverflowError:
+        return math.inf
+
+
 def flexible_error(kind: StatisticKind, x: Histogram, released,
                    budget: float) -> float | np.ndarray:
     """Min over sub-histograms within the drop budget of |statistic - released|.
@@ -231,7 +239,7 @@ def flexible_error(kind: StatisticKind, x: Histogram, released,
         if kind.name == "support":
             raise ParameterError(f"no exact flexible-error routine for {kind}")
         defined = [v for v, u in zip(values, undefined) if not u]
-        v = np.array([float(r) for r in defined])
+        v = np.array([_as_float(r) for r in defined])
         bad = np.flatnonzero(~np.isfinite(v))
         if bad.size:  # nan has no nearest point, inf no finite distance
             raise ParameterError(f"released value {defined[bad[0]]!r} is not finite")

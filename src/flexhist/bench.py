@@ -8,8 +8,8 @@ flexible error as percentages of the range [0, B).
 
 Determinism contract: identical config + master seed give a byte-identical
 CSV regardless of the worker-thread count.  Every (dataset, run, mechanism,
-epsilon) task derives its own stream seed via split_seed (computed for a
-whole dataset at once, bit for bit the same), the (dataset, run) cells that
+epsilon) task derives its own stream seed via split_seed (computed for the
+whole grid at once, bit for bit the same), the (dataset, run) cells that
 threads run never share mutable state (a cell's tasks run in turn, each on
 its own restated stream), and aggregation always walks results in fixed
 index order.
@@ -17,6 +17,7 @@ index order.
 
 from __future__ import annotations
 
+import itertools
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -59,52 +60,19 @@ FLAG_NO_CERT = "cert unavailable"
 CSV_COLUMNS = ("experiment", "mechanism", "epsilon", "mean_err_pct",
                "mean_flex_err_pct", "stderr_pct", "runs", "flags")
 
-
-@dataclass(frozen=True)
-class Mechanism:
-    """One row of the mechanism table.
-
-    ``release(kind, x, eps, delta, rng, rounds)`` runs the mechanism once;
-    ``flags`` go on every row it produces; ``statistics`` names what it can
-    release.  Each release looks its baseline up in this module's globals at
-    call time, so a wrapper installed over that name sees every call.
-    buckethist has no release here: its parameters and flags come from the
-    config's derivation (see ``_release``).
-    """
-
-    release: Callable | None
-    flags: tuple[str, ...]
-    statistics: frozenset[str]
-
-
 _NUMERIC = frozenset({"max", "min", "maxk", "mode"})
 _ANY = _NUMERIC | {"support"}
 _STABLE = frozenset({"max", "maxk", "mode"})  # PTR radii, smooth sensitivities
 
-MECHANISM_TABLE: dict[str, Mechanism] = {
-    "buckethist": Mechanism(None, (), _ANY),
-    "expmech": Mechanism(
-        lambda kind, x, eps, delta, rng, rounds: exp_mech(kind, x, eps, rng),
-        (), _NUMERIC),
-    "ptr": Mechanism(
-        lambda kind, x, eps, delta, rng, rounds: ptr_mech(kind, x, eps, delta, rng),
-        (), _STABLE),
-    "smoothsens": Mechanism(
-        lambda kind, x, eps, delta, rng, rounds: ss_mech(kind, x, eps, delta, rng),
-        (), _STABLE),
-    "bnshist": Mechanism(
-        lambda kind, x, eps, delta, rng, rounds: bns_mech(kind, x, eps, delta, rng),
-        (), _ANY),
-    "sanpoints": Mechanism(
-        lambda kind, x, eps, delta, rng, rounds: sanpoints_mech(
-            kind, x, eps, delta, rng, k_rounds=rounds),
-        (FLAG_APPROX,), _ANY),
-}
-MECHANISMS = tuple(MECHANISM_TABLE)
+#: the statistics each mechanism can release; ``release`` runs them
+RELEASES: dict[str, frozenset[str]] = {
+    "buckethist": _ANY, "expmech": _NUMERIC, "ptr": _STABLE,
+    "smoothsens": _STABLE, "bnshist": _ANY, "sanpoints": _ANY}
+MECHANISMS = tuple(RELEASES)
 
 
 def check_releasable(name: str, kind: StatisticKind) -> None:
-    if kind.name not in MECHANISM_TABLE[name].statistics:
+    if kind.name not in RELEASES[name]:
         raise ParameterError(f"mechanism {name} cannot release statistic {kind}")
 
 
@@ -314,17 +282,12 @@ def gen_dataset(cfg: ExperimentConfig, rng: RngStream) -> Histogram:
     """
     space = MetricSpace(1, float(cfg.bound))
     if cfg.generator == "steps":
-        counts: dict[tuple, int] = {}
-        g = 0
-        for height, width in cfg.steps:
-            h = round(height * cfg.scale)
-            for _ in range(width):
-                if g >= cfg.bound:
-                    raise ParameterError("steps blocks exceed the bound")
-                if h > 0:
-                    counts[(g,)] = h
-                g += 1
-        return Histogram(counts, space)
+        widths = [width for _, width in cfg.steps]
+        if sum(widths) > cfg.bound:
+            raise ParameterError("steps blocks exceed the bound")
+        heights = np.array([round(height * cfg.scale) for height, _ in cfg.steps], np.int64)
+        counts = np.repeat(heights, widths)
+        return Histogram((np.arange(counts.size), counts), space)
     if cfg.generator == "poisson":
         if cfg.bars > cfg.bound:
             raise ParameterError("more bars than the bound allows")
@@ -379,20 +342,35 @@ def derive_params(cfg: ExperimentConfig, eps: float, n: int) -> tuple[MechParams
 # runner
 
 
-def _release(name: str, cfg: ExperimentConfig, x: Histogram, eps: float,
-             rng: RngStream):
-    """Run one mechanism once; returns (released value, row flags)."""
+def release(name: str, kind: StatisticKind, x: Histogram, eps: float, delta: float,
+            beta: float, rounds: int, rng: RngStream):
+    """Run mechanism ``name`` once on x; returns (released value, row flags).
+
+    Each mechanism is called by its name in this module's globals, so a
+    wrapper installed over that name sees every call.  buckethist derives
+    its parameters from x's bound and size (its flags say whether a
+    certificate covers them); ``rounds`` is sanpoints' round count.
+    """
     if name == "buckethist":
-        params, flags = derive_params(cfg, eps, x.size)
-        return mech_hbs(cfg.statistic, x, params, rng), flags
-    row = MECHANISM_TABLE[name]
-    return (row.release(cfg.statistic, x, eps, cfg.delta, rng, cfg.sanpoints_rounds),
-            row.flags)
+        params, flags = derive_mech_params(x.space.bound, beta, delta, eps, x.size)
+        return mech_hbs(kind, x, params, rng), flags
+    if name == "expmech":
+        return exp_mech(kind, x, eps, rng), ()
+    if name == "ptr":
+        return ptr_mech(kind, x, eps, delta, rng), ()
+    if name == "smoothsens":
+        return ss_mech(kind, x, eps, delta, rng), ()
+    if name == "bnshist":
+        return bns_mech(kind, x, eps, delta, rng), ()
+    if name == "sanpoints":
+        return sanpoints_mech(kind, x, eps, delta, rng, k_rounds=rounds), (FLAG_APPROX,)
+    raise ParameterError(f"unknown mechanism {name!r}")
 
 
 def _run_cell(cfg: ExperimentConfig, x: Histogram, truth: int, seeds: np.ndarray,
-              words: np.ndarray) -> list[tuple[float, float, tuple[str, ...]]]:
-    """All (mechanism, eps) scores of one (dataset, run) task, in grid order.
+              words: np.ndarray) -> tuple[list[float], np.ndarray, list[tuple[str, ...]]]:
+    """The plain errors, flexible errors and flags of one (dataset, run) task's
+    (mechanism, eps) releases, in grid order.
 
     ``seeds`` are the tasks' stream seeds in that order and ``words`` their
     rows of seed_sequence_words; one Generator, restated per task, draws
@@ -403,13 +381,14 @@ def _run_cell(cfg: ExperimentConfig, x: Histogram, truth: int, seeds: np.ndarray
     tasks = [(name, eps) for name in cfg.mechanisms for eps in cfg.eps_grid]
     released, flags = [], []
     for (name, eps), seed, row in zip(tasks, seeds.tolist(), words.tolist()):
-        value, row_flags = _release(name, cfg, x, eps, RngStream.restate(gen, seed, row))
+        value, row_flags = release(name, cfg.statistic, x, eps, cfg.delta, cfg.beta_value,
+                                   cfg.sanpoints_rounds, RngStream.restate(gen, seed, row))
         released.append(value)
         flags.append(row_flags)
     bound = float(cfg.bound)
     plains = [bound if v is UNDEFINED else min(abs(float(v) - truth), bound) for v in released]
     flexes = np.minimum(flexible_error(cfg.statistic, x, released, cfg.drop_budget), bound)
-    return list(zip(plains, flexes.tolist(), flags))
+    return plains, flexes, flags
 
 
 def run_experiment(cfg: ExperimentConfig, threads: int = 1
@@ -434,44 +413,35 @@ def run_experiment(cfg: ExperimentConfig, threads: int = 1
             raise DomainError(f"dataset {d}: statistic undefined on the raw "
                               f"input, nothing to score against") from exc
 
-    # one pass seeds a dataset's runs x mechanisms x eps streams; a run's
-    # tasks are one row of it
-    grid = (cfg.runs, len(cfg.mechanisms), len(cfg.eps_grid))
-    tasks = []
-    for d in range(cfg.datasets):
-        seeds = split_seed_grid(cfg.seed, (d,), grid).reshape(cfg.runs, -1)
-        words = seed_sequence_words(seeds)
-        tasks += [(d, seeds[r], words[r]) for r in range(cfg.runs)]
+    # one pass seeds every (dataset, run, mechanism, eps) stream; row
+    # d * runs + r holds the tasks of run r on dataset d
+    total = cfg.datasets * cfg.runs
+    grid = (cfg.datasets, cfg.runs, len(cfg.mechanisms), len(cfg.eps_grid))
+    seeds = split_seed_grid(cfg.seed, (), grid).reshape(total, -1)
+    words = seed_sequence_words(seeds)
     with ThreadPoolExecutor(max_workers=threads) as pool:
         cells = list(pool.map(
-            lambda task: _run_cell(cfg, datasets[task[0]], truths[task[0]], *task[1:]),
-            tasks))
+            lambda i: _run_cell(cfg, datasets[i // cfg.runs], truths[i // cfg.runs],
+                                seeds[i], words[i]),
+            range(total)))
 
+    # one contiguous row per (mechanism, eps), its tasks in fixed order: determinism
+    plains = np.ascontiguousarray(np.transpose([cell[0] for cell in cells]))
+    flexes = np.ascontiguousarray(np.transpose([cell[1] for cell in cells]))
     pct = 100.0 / cfg.bound
-    total = cfg.datasets * cfg.runs
     rows: list[ResultRow] = []
-    for m, name in enumerate(cfg.mechanisms):
-        for e, eps in enumerate(cfg.eps_grid):
-            idx = m * len(cfg.eps_grid) + e
-            plains = np.empty(total)
-            flexes = np.empty(total)
-            flags: set[str] = set()
-            for i, cell in enumerate(cells):  # fixed task order: determinism
-                plain, flex, cell_flags = cell[idx]
-                plains[i] = plain
-                flexes[i] = flex
-                flags.update(cell_flags)
-            stderr = 0.0 if total < 2 else float(plains.std(ddof=1) / math.sqrt(total))
-            rows.append(ResultRow(
-                experiment=cfg.experiment,
-                mechanism=name,
-                epsilon=eps,
-                mean_err_pct=float(plains.mean()) * pct,
-                mean_flex_err_pct=float(flexes.mean()) * pct,
-                stderr_pct=stderr * pct,
-                runs=total,
-                flags="; ".join(sorted(flags)),
-            ))
+    for idx, (name, eps) in enumerate(itertools.product(cfg.mechanisms, cfg.eps_grid)):
+        stderr = 0.0 if total < 2 else float(plains[idx].std(ddof=1) / math.sqrt(total))
+        rows.append(ResultRow(
+            experiment=cfg.experiment,
+            mechanism=name,
+            epsilon=eps,
+            mean_err_pct=float(plains[idx].mean()) * pct,
+            mean_flex_err_pct=float(flexes[idx].mean()) * pct,
+            stderr_pct=stderr * pct,
+            runs=total,
+            flags="; ".join(sorted(set().union(*(cell[2][idx] for cell in cells)))),
+        ))
     return rows, _metadata(cfg, datasets)
 
 

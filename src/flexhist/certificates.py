@@ -6,7 +6,8 @@ real one, up to output error beta, except with probability gamma.  Privacy
 certificates carry (eps, delta).  For the one shipped mechanism, bucketing
 then shifted truncated-Laplace noise, composing the stage bounds gives
 closed forms, and this module states them directly: alpha = tau*t,
-beta = (w/2)*sqrt(d), gamma = 0, and no analytic bound for mode or maxk.
+beta = (w/2)*sqrt(d), gamma = 0, and no analytic bound for mode or maxk
+with k >= 2.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .hist import MAX, MIN, SUPPORT, ParameterError, StatisticKind
+from .hist import MAX, MIN, SUPPORT, ParameterError, StatisticKind, maxk
 from .mechanisms import MechParams
 
 
@@ -94,10 +95,11 @@ def buckethist_accuracy_cert(p: MechParams) -> AccuracyCert:
 def hbs_accuracy_cert(kind: StatisticKind, p: MechParams) -> AccuracyCert:
     """(alpha, beta, 0) for a statistic released off the noisy histogram.
 
-    Max, min and support move by at most the histogram distance itself;
-    mode and k-threshold maxima admit no such bound (a hair of mass crossing
-    a tie can swing them across the whole range).
+    Max, min and support move by at most the histogram distance itself, and
+    so does maxk(1), which is max (every stored bar has count >= 1); mode
+    and maxk with k >= 2 admit no such bound (a hair of mass crossing a tie
+    or the threshold can swing them across the whole range).
     """
-    if kind not in (MAX, MIN, SUPPORT):
+    if kind not in (MAX, MIN, SUPPORT, maxk(1)):
         raise ParameterError(f"no analytic bound for statistic {kind}")
     return buckethist_accuracy_cert(p)

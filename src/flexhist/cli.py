@@ -25,11 +25,11 @@ from .bench import (
     DEFAULT_SANPOINTS_ROUNDS,
     DEFAULT_SEED,
     FLAG_NO_CERT,
-    MECHANISM_TABLE,
     MECHANISMS,
     check_releasable,
     derive_mech_params,
     read_config,
+    release,
     run_experiment,
     write_csv,
 )
@@ -102,44 +102,41 @@ def _cmd_mech_run(args) -> int:
     print(f"statistic = {kind}")
     print(f"input bars = {len(x)}  elements = {x.size}")
     check_releasable(args.mech, kind)
-
-    if args.mech == "buckethist":
-        bound = x.space.bound
-        beta = args.beta if args.beta is not None else bound / 20
-        if args.alpha is not None:
-            params = MechParams(alpha=args.alpha, beta=beta, eps=args.eps,
-                                B=bound)
-            flags = ()
-        else:
-            params, flags = derive_mech_params(bound, beta, args.delta,
-                                               args.eps, x.size)
-        print(f"params: alpha = {params.alpha:.12g}  beta = {params.beta:.12g}"
-              f"  w = {params.w:.12g}  t = {params.t}  tau = {params.tau:.12g}")
-        for flag in flags:
-            print(f"flag: {flag}")
-        released = mech_hbs(kind, x, params, rng)
-        _print_release(released)
-        if args.alpha is not None:  # the closed form holds for one q on both sides of a pair
-            print("CERT dp unavailable: --alpha fixes tau, so the noise width tau*|x|"
-                  " differs between neighbouring inputs")
-        else:
-            try:
-                print(trlap_dp_cert(args.eps, params.tau, x.size).line())
-            except ParameterError as exc:
-                print(f"CERT dp unavailable: {exc}")
-        if FLAG_NO_CERT in flags:
-            print("CERT accuracy unavailable: derived alpha >= 1 "
-                  "(the run clamps it just below 1)")
-            return 0
-        print(buckethist_accuracy_cert(params).line(), "(histogram release)")
-        try:
-            print(hbs_accuracy_cert(kind, params).line(), f"(statistic {kind})")
-        except ParameterError as exc:
-            print(f"CERT accuracy for {kind} unavailable: {exc}")
+    bound = x.space.bound
+    beta = args.beta if args.beta is not None else bound / 20
+    if args.mech != "buckethist":
+        _print_release(release(args.mech, kind, x, args.eps, args.delta, beta,
+                               DEFAULT_SANPOINTS_ROUNDS, rng)[0])
         return 0
 
-    _print_release(MECHANISM_TABLE[args.mech].release(
-        kind, x, args.eps, args.delta, rng, DEFAULT_SANPOINTS_ROUNDS))
+    if args.alpha is not None:
+        params = MechParams(alpha=args.alpha, beta=beta, eps=args.eps, B=bound)
+        flags = ()
+    else:
+        params, flags = derive_mech_params(bound, beta, args.delta, args.eps, x.size)
+    print(f"params: alpha = {params.alpha:.12g}  beta = {params.beta:.12g}"
+          f"  w = {params.w:.12g}  t = {params.t}  tau = {params.tau:.12g}")
+    for flag in flags:
+        print(f"flag: {flag}")
+    _print_release(mech_hbs(kind, x, params, rng))
+    if args.alpha is not None or FLAG_NO_CERT in flags:  # the closed form needs one q on both sides
+        fixed = "--alpha" if args.alpha is not None else "the clamped alpha"
+        print(f"CERT dp unavailable: {fixed} fixes tau, so the noise width tau*|x|"
+              " differs between neighbouring inputs")
+    else:
+        try:
+            print(trlap_dp_cert(args.eps, params.tau, x.size).line())
+        except ParameterError as exc:
+            print(f"CERT dp unavailable: {exc}")
+    if FLAG_NO_CERT in flags:
+        print("CERT accuracy unavailable: derived alpha >= 1 "
+              "(the run clamps it just below 1)")
+        return 0
+    print(buckethist_accuracy_cert(params).line(), "(histogram release)")
+    try:
+        print(hbs_accuracy_cert(kind, params).line(), f"(statistic {kind})")
+    except ParameterError as exc:
+        print(f"CERT accuracy for {kind} unavailable: {exc}")
     return 0
 
 

@@ -31,10 +31,10 @@ from .transport import DiscreteDistribution, _threshold_flow, winf, winf_lossy_w
 
 
 class FractionalHistogram:
-    """Histogram with exact rational bar masses (intermediate constructions).
+    """Histogram with exact rational bar masses (drop_move_switch's output).
 
-    Mirrors the read API of Histogram (space/size/count/items/support) so the
-    distortion functions accept either kind.
+    Has the ``space``, ``size`` and ``items()`` of a Histogram, all that
+    ``drop`` reads of its target and ``move`` of either side.
     """
 
     __slots__ = ("_entries", "space")
@@ -60,28 +60,14 @@ class FractionalHistogram:
     def size(self) -> Fraction:
         return sum(self._entries.values(), Fraction(0))
 
-    def count(self, g: PointLike) -> Fraction:
-        return self._entries.get(as_point(g, self.space.dimension), Fraction(0))
-
     def items(self) -> tuple[tuple[Point, Fraction], ...]:
         return tuple(self._entries.items())
-
-    def support(self) -> frozenset[Point]:
-        return frozenset(self._entries)
-
-    def __eq__(self, other) -> bool:
-        return (isinstance(other, FractionalHistogram)
-                and self.space == other.space and self._entries == other._entries)
-
-    def __repr__(self) -> str:
-        inner = ", ".join(f"{g}: {m}" for g, m in self._entries.items())
-        return f"FractionalHistogram({{{inner}}})"
 
 
 AnyHistogram = Union[Histogram, FractionalHistogram]
 
 
-def drop(x: AnyHistogram, y: AnyHistogram) -> float:
+def drop(x: Histogram, y: AnyHistogram) -> float:
     """Fraction of x's elements removed to reach y; +inf if y adds anywhere."""
     if x.space != y.space:
         raise DomainError("drop across different spaces")

@@ -388,8 +388,8 @@ class MechParams:
             raise ParameterError("beta must be positive")
         if not self.eps > 0:
             raise ParameterError("eps must be positive")
-        if not 0 <= self.tau < 1:
-            raise ParameterError(f"derived tau = {self.tau} not in [0,1)")
+        if not (0 < self.B < math.inf and self.d >= 1):
+            raise ParameterError("B must be finite and positive, and d >= 1")
 
     @property
     def w(self) -> float:

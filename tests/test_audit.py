@@ -147,6 +147,20 @@ def test_dp_delta_exact_at_fixed_tau_exceeds_the_closed_form():
     assert dp_delta_exact(fixed, 1.0) == pytest.approx(trlap_delta(1.0, 9.0), abs=1e-15)
 
 
+def test_dp_delta_exact_at_a_clamped_tau_exceeds_the_closed_form():
+    # `mech run` on 0 30, 1 30, 2 5 with --eps 1 --beta 0.5 --bound 3 derives
+    # alpha >= 1 and clamps it, so tau = (1 - 2^-53)/3 is fixed and the
+    # neighbours' noise widths differ; the closed form would state 1.695e-05
+    tau = math.nextafter(1.0, 0.0) / 3
+    x = H({0: 30, 1: 30, 2: 5})
+    for x2, want in ((H({0: 30, 1: 29, 2: 5}), 4.40054359278e-05),
+                     (H({0: 30, 1: 30, 2: 4}), 3.70819682277e-05)):
+        for a, b in ((x, x2), (x2, x)):
+            exact = dp_delta_exact(AuditInstance(a, b, trlap_pmf_factory(tau)), 1.0)
+            assert exact == pytest.approx(want, rel=1e-10)
+            assert exact > trlap_delta(1.0, tau * 65) == pytest.approx(1.69518102851e-05, rel=1e-10)
+
+
 def test_audit_instance_requires_neighbors():
     with pytest.raises(DomainError):
         AuditInstance(x=H({0: 3}), x2=H({0: 1}), pmf_factory=_fixed_factory)
@@ -258,6 +272,16 @@ def test_flexible_error_brute_guard():
         flexible_error_brute(MAX, H({0: 13}), 1.0, 0.1)
 
 
+def test_flexible_error_brute_scores_a_support_by_dsupp():
+    x = Histogram({1: 5, 4: 1, 9: 4}, MetricSpace(1, 10.0))
+    assert flexible_error_brute(SUPPORT, x, frozenset({(1,), (9,)}), 0.1) == 0  # drop the 4
+    assert flexible_error_brute(SUPPORT, x, frozenset({(1,), (9,)}), 0.0) == 3
+    assert flexible_error_brute(SUPPORT, x, frozenset({(2,)}), 0.5) == 1  # keep only the 1s
+    y = Histogram({(0, 0): 3, (3, 4): 1}, MetricSpace(2, 10.0))  # support: any dimension
+    assert flexible_error_brute(SUPPORT, y, frozenset({(0, 0)}), 0.25) == 0.0
+    assert flexible_error_brute(SUPPORT, y, frozenset({(0, 0)}), 0.0) == 5.0
+
+
 def test_flexible_error_rejects_non_1d_histograms():
     x = Histogram({(1, 9): 2, (5, 0): 1}, MetricSpace(2, 10.0))
     for kind in (MAX, MIN, MODE, maxk(1)):
@@ -334,7 +358,9 @@ def test_flexible_error_of_a_float_array():
     assert flexible_error(MAX, x, (), 0.0).shape == (0,)
 
 
-@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, np.float64("nan")])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, np.float64("nan"),
+                                 pytest.param(10**400, id="10**400"),  # ints beyond
+                                 pytest.param(-10**400, id="-10**400")])  # the float range
 def test_flexible_error_of_a_sequence_rejects_what_a_single_value_rejects(bad):
     x = H({5: 2, 8: 1})
     with pytest.raises(ParameterError) as alone:

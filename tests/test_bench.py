@@ -10,25 +10,40 @@ import pytest
 
 from flexhist import bench
 from flexhist.audit import flexible_error
+from flexhist.baselines import bns_mech, exp_mech, ptr_mech, sanpoints_mech, ss_mech
 from flexhist.bench import (
     CSV_COLUMNS,
     DEFAULT_DELTA,
     DEFAULT_DROP_BUDGET,
     DEFAULT_SEED,
+    FLAG_APPROX,
     FLAG_NO_CERT,
     MECHANISMS,
+    RELEASES,
     ExperimentConfig,
     ResultRow,
+    check_releasable,
     derive_mech_params,
     gen_dataset,
     parse_config,
     read_config,
+    release,
     run_experiment,
     run_to_csv,
     write_csv,
 )
-from flexhist.hist import MIN, SUPPORT, DomainError, ParameterError, maxk
-from flexhist.mechanisms import RngStream, mech_bucket, split_seed
+from flexhist.hist import (
+    MAX,
+    MIN,
+    MODE,
+    SUPPORT,
+    DomainError,
+    Histogram,
+    MetricSpace,
+    ParameterError,
+    maxk,
+)
+from flexhist.mechanisms import RngStream, mech_bucket, mech_hbs, split_seed
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -415,3 +430,70 @@ def test_mechanism_roster():
     assert MECHANISMS == ("buckethist", "expmech", "ptr", "smoothsens",
                           "bnshist", "sanpoints")
     assert 0 < DEFAULT_DELTA < 1 and 0 < DEFAULT_DROP_BUDGET < 1
+
+
+# ---------------------------------------------------------------------------
+# dispatch: one release per mechanism name
+
+KIND_OF = {"max": MAX, "min": MIN, "maxk": maxk(2), "mode": MODE, "support": SUPPORT}
+#: the function each mechanism name runs, by its name in bench's globals
+RUNS = {"buckethist": "mech_hbs", "expmech": "exp_mech", "ptr": "ptr_mech",
+        "smoothsens": "ss_mech", "bnshist": "bns_mech", "sanpoints": "sanpoints_mech"}
+
+
+def test_releases_table_and_check_releasable():
+    numeric = ["max", "maxk", "min", "mode"]
+    assert {name: sorted(stats) for name, stats in RELEASES.items()} == {
+        "buckethist": numeric + ["support"], "expmech": numeric,
+        "ptr": ["max", "maxk", "mode"], "smoothsens": ["max", "maxk", "mode"],
+        "bnshist": numeric + ["support"], "sanpoints": numeric + ["support"]}
+    assert MECHANISMS == tuple(RELEASES) == tuple(RUNS)
+    for name in MECHANISMS:
+        for stat, kind in KIND_OF.items():
+            if stat in RELEASES[name]:
+                check_releasable(name, kind)
+            else:
+                with pytest.raises(ParameterError, match=f"{name} cannot release statistic"):
+                    check_releasable(name, kind)
+
+
+def test_release_returns_what_each_mechanism_returns():
+    x = Histogram({3: 500, 7: 300, 12: 40, 15: 2}, MetricSpace(1, 20.0))
+    eps, delta, beta, rounds = 1.0, DEFAULT_DELTA, 1.0, 3
+    params, flags = derive_mech_params(20.0, beta, delta, eps, x.size)
+    assert flags == ()
+    own = {
+        "buckethist": lambda kind, rng: (mech_hbs(kind, x, params, rng), ()),
+        "expmech": lambda kind, rng: (exp_mech(kind, x, eps, rng), ()),
+        "ptr": lambda kind, rng: (ptr_mech(kind, x, eps, delta, rng), ()),
+        "smoothsens": lambda kind, rng: (ss_mech(kind, x, eps, delta, rng), ()),
+        "bnshist": lambda kind, rng: (bns_mech(kind, x, eps, delta, rng), ()),
+        "sanpoints": lambda kind, rng: (sanpoints_mech(kind, x, eps, delta, rng,
+                                                       k_rounds=rounds), (FLAG_APPROX,)),
+    }
+    assert tuple(own) == MECHANISMS
+    for name in MECHANISMS:
+        for stat in sorted(RELEASES[name]):
+            for seed in (1, 2):
+                kind = KIND_OF[stat]
+                got = release(name, kind, x, eps, delta, beta, rounds, RngStream(seed))
+                assert got == own[name](kind, RngStream(seed)), (name, stat, seed)
+    tiny = Histogram({3: 2, 7: 1}, MetricSpace(1, 20.0))  # derives alpha >= 1
+    assert release("buckethist", MAX, tiny, eps, delta, beta, rounds, RngStream(0))[1] == (
+        FLAG_NO_CERT,)
+    with pytest.raises(ParameterError, match="unknown mechanism 'nope'"):
+        release("nope", MAX, x, eps, delta, beta, rounds, RngStream(0))
+
+
+def test_release_calls_each_mechanism_through_its_module_global(monkeypatch):
+    # perfbench traces a mechanism by wrapping its name in bench's globals
+    calls = []
+    for fn in RUNS.values():
+        real = getattr(bench, fn)
+        monkeypatch.setattr(bench, fn, lambda *args, _fn=fn, _real=real, **kwargs:
+                            calls.append(_fn) or _real(*args, **kwargs))
+    x = Histogram({3: 500, 7: 300}, MetricSpace(1, 20.0))
+    for name, fn in RUNS.items():
+        calls.clear()
+        release(name, MAX, x, 1.0, DEFAULT_DELTA, 1.0, 3, RngStream(0))
+        assert calls == [fn], name

@@ -125,13 +125,14 @@ def test_bucketing_accuracy_cert():
 
 
 def test_analytic_metric_sens_coverage():
-    # max, min and support carry the histogram bound over unchanged
+    # max, min and support carry the histogram bound over unchanged, and so
+    # does maxk(1), which is max
     p = MechParams(alpha=0.05, beta=5.0, eps=1.0, B=100.0)
-    for kind in (MAX, MIN, SUPPORT):
+    for kind in (MAX, MIN, SUPPORT, maxk(1)):
         c = hbs_accuracy_cert(kind, p)
         assert (c.alpha, c.beta, c.gamma) == (p.tau * p.t, 5.0, 0.0)
         assert c.line() == buckethist_accuracy_cert(p).line()
-    for kind in (MODE, maxk(5)):
+    for kind in (MODE, maxk(2), maxk(5)):
         with pytest.raises(ParameterError) as exc:
             hbs_accuracy_cert(kind, p)
         assert str(exc.value) == f"no analytic bound for statistic {kind}"

@@ -110,12 +110,13 @@ def test_mech_run_buckethist_cert_lines_golden(hist_file, capsys):
     acc = "CERT accuracy α=0.342778059882 β=0.4 γ=0 distortion=drop"
     expected = {
         "max": [dp, f"{acc} (histogram release)", f"{acc} (statistic max)"],
+        "maxk --k 1": [dp, f"{acc} (histogram release)", f"{acc} (statistic maxk(1))"],
         "mode": [dp, f"{acc} (histogram release)",
                  "CERT accuracy for mode unavailable: "
                  "no analytic bound for statistic mode"],
     }
     for stat, want in expected.items():
-        assert main(["mech", "run", "--mech", "buckethist", "--stat", stat,
+        assert main(["mech", "run", "--mech", "buckethist", "--stat", *stat.split(),
                      "--input", hist_file, "--eps", "1.0"]) == 0
         lines = capsys.readouterr().out.splitlines()
         assert [l for l in lines if l.startswith("CERT")] == want
@@ -135,6 +136,21 @@ def test_mech_run_fixed_alpha_prints_no_dp_certificate(tmp_path, capsys):
         "CERT dp unavailable: --alpha fixes tau, so the noise width tau*|x| differs"
         " between neighbouring inputs"]
     assert "CERT accuracy α=0.3 β=0.5 γ=0 distortion=drop (statistic max)" in lines
+
+
+def test_mech_run_clamped_alpha_prints_no_dp_certificate(tmp_path, capsys):
+    path = tmp_path / "clamped.txt"
+    path.write_text("0 30\n1 30\n2 5\n")
+    # 65 elements derive alpha >= 1, which is clamped: tau is fixed at (1 - 2^-53)/3,
+    # and the exact delta against [30, 29, 5] is 4.40e-05, not the closed form's 1.70e-05
+    assert main(["mech", "run", "--mech", "buckethist", "--stat", "max", "--eps", "1",
+                 "--beta", "0.5", "--bound", "3", "--input", str(path)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert "flag: cert unavailable" in lines
+    assert [l for l in lines if l.startswith("CERT")] == [
+        "CERT dp unavailable: the clamped alpha fixes tau, so the noise width tau*|x|"
+        " differs between neighbouring inputs",
+        "CERT accuracy unavailable: derived alpha >= 1 (the run clamps it just below 1)"]
 
 
 def test_mech_run_buckethist_tiny_input_flags(tmp_path, capsys):

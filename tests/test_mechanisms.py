@@ -474,6 +474,9 @@ def test_mech_params_validation():
         MechParams(alpha=0.1, beta=0.0, eps=1.0, B=100.0)
     with pytest.raises(ParameterError):
         MechParams(alpha=0.1, beta=5.0, eps=0.0, B=100.0)
+    for B, d in ((0.0, 1), (math.inf, 1), (100.0, 0)):  # checked before tau reads them
+        with pytest.raises(ParameterError, match="B must be finite and positive, and d >= 1"):
+            MechParams(alpha=0.1, beta=5.0, eps=1.0, B=B, d=d)
 
 
 def test_mech_buckethist_support_and_drop_budget():
