@@ -26,7 +26,6 @@ from .mechanisms import (
     UNDEFINED,
     BucketSpec,
     MechParams,
-    RngStream,
     mech_bucket,
     mech_buckethist,
     mech_hbs,
@@ -44,6 +43,13 @@ from .audit import dp_delta_exact, flexible_error
 from .bench import ExperimentConfig, run_experiment
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name: str):
+    if name == "RngStream":  # defined on first use: see flexhist.mechanisms
+        return mechanisms.RngStream
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "AccuracyCert", "BucketSpec", "DPCert", "DiscreteDistribution",

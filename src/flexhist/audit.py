@@ -31,7 +31,7 @@ from .hist import (
     eval_statistic,
     neighbors,
 )
-from .mechanisms import UNDEFINED, NoiseSpec, trlap_output_pmf
+from .mechanisms import UNDEFINED, trlap_output_pmf
 from .transport import DiscreteDistribution
 
 _ORACLE_ATOM_GUARD = 4
@@ -215,6 +215,14 @@ def _as_float(r) -> float:
         return math.inf
 
 
+def _show(r) -> str:
+    """repr(r), or the size of an int too long for Python to print."""
+    try:
+        return repr(r)
+    except ValueError:  # beyond sys.get_int_max_str_digits()
+        return f"<int of {r.bit_length()} bits>"
+
+
 def flexible_error(kind: StatisticKind, x: Histogram, released,
                    budget: float) -> float | np.ndarray:
     """Min over sub-histograms within the drop budget of |statistic - released|.
@@ -242,7 +250,7 @@ def flexible_error(kind: StatisticKind, x: Histogram, released,
         v = np.array([_as_float(r) for r in defined])
         bad = np.flatnonzero(~np.isfinite(v))
         if bad.size:  # nan has no nearest point, inf no finite distance
-            raise ParameterError(f"released value {defined[bad[0]]!r} is not finite")
+            raise ParameterError(f"released value {_show(defined[bad[0]])} is not finite")
         reach = _reachable(kind, x, m)
         if reach.size == 0:  # maxk: nothing qualifies even before dropping
             out[~undefined] = _full_range(x)
@@ -370,6 +378,6 @@ def trlap_pmf_factory(tau: float) -> Callable[[int, int, float], np.ndarray]:
         raise ParameterError(f"tau must be in (0,1), got {tau}")
 
     def factory(count: int, size: int, eps: float) -> np.ndarray:
-        return trlap_output_pmf(count, NoiseSpec(q=tau * size, eps=eps))
+        return trlap_output_pmf(count, tau * size, eps)
 
     return factory

@@ -24,8 +24,9 @@ from functools import lru_cache
 
 import numpy as np
 
+from . import mechanisms
 from .hist import DomainError, Histogram, ParameterError, StatisticKind, eval_statistic
-from .mechanisms import UNDEFINED, RngStream, statistic_or_undefined
+from .mechanisms import UNDEFINED, statistic_or_undefined
 
 
 def _range_bound(x: Histogram) -> int:
@@ -55,7 +56,7 @@ def _counts_vector(x: Histogram) -> np.ndarray:
 # exponential mechanism
 
 
-def exp_mech(kind: StatisticKind, x: Histogram, eps: float, rng: RngStream) -> int:
+def exp_mech(kind: StatisticKind, x: Histogram, eps: float, rng: mechanisms.RngStream) -> int:
     """Sample r in [0,B) with weight exp(-eps*|f(x)-r| / (2B)).
 
     The error utility swings by up to the full range across neighbors for
@@ -106,13 +107,13 @@ def ptr_stability_radius(kind: StatisticKind, x: Histogram) -> int:
 
 
 def ptr_mech(kind: StatisticKind, x: Histogram, eps: float, delta: float,
-             rng: RngStream) -> int:
+             rng: mechanisms.RngStream) -> int:
     """Release the exact statistic if the noisy stability radius clears
     ln(1/delta)/eps, otherwise a uniformly random value from the range."""
     bound = _range_bound(x)
     f = statistic_or_undefined(kind, x)
     if f is not UNDEFINED:
-        noisy = ptr_stability_radius(kind, x) + rng.laplace(1.0 / eps)
+        noisy = ptr_stability_radius(kind, x) + rng.laplace(scale=1.0 / eps)
         if noisy > math.log(1.0 / delta) / eps:
             return int(f)
     return int(rng.integers(0, bound))
@@ -227,7 +228,7 @@ def smooth_sensitivity(kind: StatisticKind, x: Histogram, beta: float) -> float:
 
 
 def ss_mech(kind: StatisticKind, x: Histogram, eps: float, delta: float,
-            rng: RngStream) -> float:
+            rng: mechanisms.RngStream) -> float:
     """f(x) plus Laplace noise scaled by the smooth sensitivity at
     beta = eps / (2 ln(2/delta))."""
     f = statistic_or_undefined(kind, x)
@@ -235,20 +236,20 @@ def ss_mech(kind: StatisticKind, x: Histogram, eps: float, delta: float,
         return float(rng.integers(0, _range_bound(x)))
     beta = eps / (2.0 * math.log(2.0 / delta))
     ss = smooth_sensitivity(kind, x, beta)
-    return float(f) + (2.0 * ss / eps) * rng.laplace(1.0)
+    return float(f) + (2.0 * ss / eps) * rng.laplace(scale=1.0)
 
 
 # ---------------------------------------------------------------------------
 # stability-based sanitized histogram
 
 
-def bns_hist(x: Histogram, eps: float, delta: float, rng: RngStream) -> Histogram:
+def bns_hist(x: Histogram, eps: float, delta: float, rng: mechanisms.RngStream) -> Histogram:
     """Per-bar Laplace(2/eps) on occupied bars, suppressed below the
     stability threshold 1 + 2 ln(2/delta)/eps; empty bars are never touched,
     so the output support is a subset of the input support."""
     thr = 1.0 + 2.0 * math.log(2.0 / delta) / eps
     counts = x.bars()[1]
-    v = counts + rng.laplace(2.0 / eps, size=len(counts))  # one draw per bar, in order
+    v = counts + rng.laplace(scale=2.0 / eps, size=len(counts))  # one draw per bar, in order
     return x.with_counts(np.where(v > thr, np.rint(v), 0))  # rint: half to even, as round
 
 
@@ -257,7 +258,7 @@ def bns_hist(x: Histogram, eps: float, delta: float, rng: RngStream) -> Histogra
 
 
 def sanpoints(x: Histogram, eps: float, delta: float, k_rounds: int,
-              rng: RngStream) -> Histogram:
+              rng: mechanisms.RngStream) -> Histogram:
     """k_rounds iterations of: pick a remaining bar with weight
     exp(eps' * height / 2) (eps' = eps/(2*k_rounds), height sensitivity 1)
     without replacement, then report its height plus Laplace(2*k_rounds/eps),
@@ -280,7 +281,7 @@ def sanpoints(x: Histogram, eps: float, delta: float, k_rounds: int,
     for _ in range(k_rounds):
         h = heights[left]
         i = left.pop(rng.choice_weighted(np.exp(eps_round * (h - h.max()) / 2.0)))
-        out[i] = heights[i] + rng.laplace(2.0 * k_rounds / eps)
+        out[i] = heights[i] + rng.laplace(scale=2.0 * k_rounds / eps)
     return x.with_counts(np.rint(out))  # rint: half to even, as round, and inf stays inf
 
 
@@ -289,11 +290,11 @@ def sanpoints(x: Histogram, eps: float, delta: float, k_rounds: int,
 
 
 def bns_mech(kind: StatisticKind, x: Histogram, eps: float, delta: float,
-             rng: RngStream):
+             rng: mechanisms.RngStream):
     return statistic_or_undefined(kind, bns_hist(x, eps, delta, rng))
 
 
 def sanpoints_mech(kind: StatisticKind, x: Histogram, eps: float, delta: float,
-                   rng: RngStream, k_rounds: int = 8):
+                   rng: mechanisms.RngStream, k_rounds: int = 8):
     released = sanpoints(x, eps, delta, min(k_rounds, max(1, len(x))), rng)
     return statistic_or_undefined(kind, released)

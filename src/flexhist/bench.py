@@ -10,9 +10,9 @@ Determinism contract: identical config + master seed give a byte-identical
 CSV regardless of the worker-thread count.  Every (dataset, run, mechanism,
 epsilon) task derives its own stream seed via split_seed (computed for the
 whole grid at once, bit for bit the same), the (dataset, run) cells that
-threads run never share mutable state (a cell's tasks run in turn, each on
-its own restated stream), and aggregation always walks results in fixed
-index order.
+threads run never share mutable state (a cell's tasks run in turn on the
+cell's own RngStream, which restate re-seeds in place for each task), and
+aggregation always walks results in fixed index order.
 """
 
 from __future__ import annotations
@@ -25,6 +25,7 @@ from typing import IO, Callable, Sequence
 
 import numpy as np
 
+from . import mechanisms
 from .audit import flexible_error
 from .baselines import bns_mech, exp_mech, ptr_mech, sanpoints_mech, ss_mech
 from .certificates import solve_q
@@ -42,7 +43,6 @@ from .mechanisms import (
     UNDEFINED,
     BucketSpec,
     MechParams,
-    RngStream,
     mech_hbs,
     seed_sequence_words,
     split_seed,
@@ -274,7 +274,7 @@ def read_config(path: str) -> ExperimentConfig:
 # dataset generators
 
 
-def gen_dataset(cfg: ExperimentConfig, rng: RngStream) -> Histogram:
+def gen_dataset(cfg: ExperimentConfig, rng: mechanisms.RngStream) -> Histogram:
     """One input histogram over [0, bound) according to the generator spec.
 
     The scale factor multiplies heights (item count for the Cauchy stream),
@@ -300,7 +300,7 @@ def gen_dataset(cfg: ExperimentConfig, rng: RngStream) -> Histogram:
     bars = np.zeros(cfg.bound, dtype=np.int64)
     kept = 0
     while kept < want:
-        u = rng.uniform(size=max(64, want - kept))
+        u = rng.random(size=max(64, want - kept))
         draws = cfg.median + cfg.cauchy_scale * np.tan(np.pi * (u - 0.5))
         draws = draws[(draws >= 0) & (draws < cfg.bound)]
         if draws.size > want - kept:
@@ -343,7 +343,7 @@ def derive_params(cfg: ExperimentConfig, eps: float, n: int) -> tuple[MechParams
 
 
 def release(name: str, kind: StatisticKind, x: Histogram, eps: float, delta: float,
-            beta: float, rounds: int, rng: RngStream):
+            beta: float, rounds: int, rng: mechanisms.RngStream):
     """Run mechanism ``name`` once on x; returns (released value, row flags).
 
     Each mechanism is called by its name in this module's globals, so a
@@ -367,22 +367,22 @@ def release(name: str, kind: StatisticKind, x: Histogram, eps: float, delta: flo
     raise ParameterError(f"unknown mechanism {name!r}")
 
 
-def _run_cell(cfg: ExperimentConfig, x: Histogram, truth: int, seeds: np.ndarray,
+def _run_cell(cfg: ExperimentConfig, x: Histogram, truth: int,
               words: np.ndarray) -> tuple[list[float], np.ndarray, list[tuple[str, ...]]]:
     """The plain errors, flexible errors and flags of one (dataset, run) task's
     (mechanism, eps) releases, in grid order.
 
-    ``seeds`` are the tasks' stream seeds in that order and ``words`` their
-    rows of seed_sequence_words; one Generator, restated per task, draws
-    every stream.  The releases are scored in one flexible_error call; the
-    plain and flexible errors are both capped at the range.
+    ``words`` holds the tasks' rows of seed_sequence_words in that order; one
+    RngStream, restated in place per task, draws every task's stream.  The
+    releases are scored in one flexible_error call; the plain and flexible
+    errors are both capped at the range.
     """
-    gen = np.random.Generator(np.random.PCG64(0))
+    stream = mechanisms.RngStream(0)
     tasks = [(name, eps) for name in cfg.mechanisms for eps in cfg.eps_grid]
     released, flags = [], []
-    for (name, eps), seed, row in zip(tasks, seeds.tolist(), words.tolist()):
+    for (name, eps), row in zip(tasks, words.tolist()):
         value, row_flags = release(name, cfg.statistic, x, eps, cfg.delta, cfg.beta_value,
-                                   cfg.sanpoints_rounds, RngStream.restate(gen, seed, row))
+                                   cfg.sanpoints_rounds, stream.restate(row))
         released.append(value)
         flags.append(row_flags)
     bound = float(cfg.bound)
@@ -401,7 +401,7 @@ def run_experiment(cfg: ExperimentConfig, threads: int = 1
     """
     if threads < 1:
         raise ParameterError("threads must be >= 1")
-    datasets = [gen_dataset(cfg, RngStream(split_seed(cfg.seed, d)))
+    datasets = [gen_dataset(cfg, mechanisms.RngStream(split_seed(cfg.seed, d)))
                 for d in range(cfg.datasets)]
     truths = []
     for d, x in enumerate(datasets):
@@ -417,12 +417,10 @@ def run_experiment(cfg: ExperimentConfig, threads: int = 1
     # d * runs + r holds the tasks of run r on dataset d
     total = cfg.datasets * cfg.runs
     grid = (cfg.datasets, cfg.runs, len(cfg.mechanisms), len(cfg.eps_grid))
-    seeds = split_seed_grid(cfg.seed, (), grid).reshape(total, -1)
-    words = seed_sequence_words(seeds)
+    words = seed_sequence_words(split_seed_grid(cfg.seed, (), grid).reshape(total, -1))
     with ThreadPoolExecutor(max_workers=threads) as pool:
         cells = list(pool.map(
-            lambda i: _run_cell(cfg, datasets[i // cfg.runs], truths[i // cfg.runs],
-                                seeds[i], words[i]),
+            lambda i: _run_cell(cfg, datasets[i // cfg.runs], truths[i // cfg.runs], words[i]),
             range(total)))
 
     # one contiguous row per (mechanism, eps), its tasks in fixed order: determinism

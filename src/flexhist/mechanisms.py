@@ -124,84 +124,64 @@ def seed_sequence_words(seeds: np.ndarray) -> np.ndarray:
     return words.astype(np.uint64, copy=False).reshape(seeds.shape + (4,))
 
 
-class RngStream:
-    """Deterministic pseudo-random stream (PCG64 behind numpy's Generator).
+def __getattr__(name: str):
+    # RngStream is defined on first use (PEP 562): it subclasses numpy's
+    # Generator, and importing numpy.random adds about 6 MB to a process that
+    # imports flexhist only to transport or score
+    if name != "RngStream":
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
-    RngStream(seed) is np.random.default_rng(seed).  ``restate`` gives the
-    same stream from a Generator that is reused from task to task.
-    """
+    class RngStream(np.random.Generator):
+        """Deterministic pseudo-random stream: numpy's Generator over PCG64.
 
-    __slots__ = ("seed", "_gen")
-
-    def __init__(self, seed: int):
-        self.seed = seed & _M64
-        self._gen = np.random.default_rng(self.seed)
-
-    @classmethod
-    def restate(cls, gen: np.random.Generator, seed: int, words: Sequence[int]) -> RngStream:
-        """RngStream(seed), drawn from the PCG64 Generator ``gen``.
-
-        ``words`` is seed's row of seed_sequence_words, as Python ints.
-        PCG64's srandom step turns it into the (state, inc) pair that
-        default_rng(seed) starts from: state 0 steps to inc, adds the seed
-        and steps again, in 128-bit arithmetic.  The 32-bit half-draw that
-        integers() can leave buffered is dropped too, so nothing of the
-        stream ``gen`` ran before carries over.  The stream ends when gen is
-        restated again.
+        RngStream(seed) is np.random.default_rng(seed), with the seed taken mod
+        2^64.  ``restate`` re-seeds the stream in place, so one object serves
+        task after task.
         """
-        s_hi, s_lo, i_hi, i_lo = words
-        inc = ((i_hi << 64 | i_lo) << 1 | 1) & _M128
-        state = (((s_hi << 64 | s_lo) + inc) * _PCG_MULT + inc) & _M128
-        gen.bit_generator.state = {"bit_generator": "PCG64",
-                                   "state": {"state": state, "inc": inc},
-                                   "has_uint32": 0, "uinteger": 0}
-        stream = cls.__new__(cls)
-        stream.seed = seed
-        stream._gen = gen
-        return stream
 
-    def uniform(self, size=None):
-        return self._gen.random(size)
+        __qualname__ = "RngStream"
 
-    def integers(self, low: int, high: int, size=None):
-        return self._gen.integers(low, high, size=size)
+        def __init__(self, seed: int):
+            super().__init__(np.random.PCG64(seed & _M64))
 
-    def laplace(self, scale: float, size=None):
-        return self._gen.laplace(0.0, scale, size)
+        def restate(self, words: Sequence[int]) -> RngStream:
+            """Re-seed in place: afterwards this stream draws what RngStream(seed)
+            draws.  Returns self.
 
-    def poisson(self, lam: float, size=None):
-        return self._gen.poisson(lam, size)
+            ``words`` is seed's row of seed_sequence_words, as Python ints.
+            PCG64's srandom step turns it into the (state, inc) pair that
+            default_rng(seed) starts from: state 0 steps to inc, adds the seed
+            and steps again, in 128-bit arithmetic.  The 32-bit half-draw that
+            integers() can leave buffered is dropped too, so nothing of what the
+            stream drew before carries over.
+            """
+            s_hi, s_lo, i_hi, i_lo = words
+            inc = ((i_hi << 64 | i_lo) << 1 | 1) & _M128
+            state = (((s_hi << 64 | s_lo) + inc) * _PCG_MULT + inc) & _M128
+            self.bit_generator.state = {"bit_generator": "PCG64",
+                                        "state": {"state": state, "inc": inc},
+                                        "has_uint32": 0, "uinteger": 0}
+            return self
 
-    def choice_weighted(self, weights: np.ndarray) -> int:
-        w = np.asarray(weights, dtype=float)
-        total = w.sum()
-        if not total > 0:
-            raise ParameterError("weights must have positive total")
-        c = np.cumsum(w / total)
-        i = int(np.searchsorted(c, self._gen.random(), side="right"))
-        if i < len(c):
-            return i
-        # the draw is at or past c[-1], which rounding can leave below 1: the
-        # pick is the last bar with weight, the first where c reaches c[-1]
-        return int(np.searchsorted(c, c[-1], side="left"))
+        def choice_weighted(self, weights: np.ndarray) -> int:
+            w = np.asarray(weights, dtype=float)
+            total = w.sum()
+            if not total > 0:
+                raise ParameterError("weights must have positive total")
+            c = np.cumsum(w / total)
+            i = int(np.searchsorted(c, self.random(), side="right"))
+            if i < len(c):
+                return i
+            # the draw is at or past c[-1], which rounding can leave below 1: the
+            # pick is the last bar with weight, the first where c reaches c[-1]
+            return int(np.searchsorted(c, c[-1], side="left"))
+
+    globals()["RngStream"] = RngStream
+    return RngStream
 
 
 # ---------------------------------------------------------------------------
 # noise
-
-
-@dataclass(frozen=True)
-class NoiseSpec:
-    """Truncation width q and privacy parameter eps of the noise density."""
-
-    q: float
-    eps: float
-
-    def __post_init__(self) -> None:
-        if not self.q > 0:
-            raise ParameterError("q must be positive")
-        if not self.eps > 0:
-            raise ParameterError("eps must be positive")
 
 
 def emptiness_probs(q: int, eps: float, delta: float) -> np.ndarray:
@@ -230,9 +210,8 @@ def emptiness_probs(q: int, eps: float, delta: float) -> np.ndarray:
     return p
 
 
-def trlap_cdf(spec: NoiseSpec, t: float) -> float:
+def trlap_cdf(q: float, eps: float, t: float) -> float:
     """P(z <= t) for the shifted-truncated Laplace noise on [-q, 0]."""
-    q, eps = spec.q, spec.eps
     if t <= -q:
         return 0.0
     if t >= 0:
@@ -244,11 +223,10 @@ def trlap_cdf(spec: NoiseSpec, t: float) -> float:
     return (lap - lo) / (1.0 - 2.0 * lo)
 
 
-def trlap_sample(spec: NoiseSpec, rng: RngStream, size=None):
+def trlap_sample(q: float, eps: float, rng: RngStream, size=None):
     """Inverse-CDF draws from the shifted-truncated Laplace density."""
-    q, eps = spec.q, spec.eps
     lo = 0.5 * math.exp(-eps * q / 2)  # Laplace cdf at -q
-    u = rng.uniform(size)
+    u = rng.random(size)
     p = lo + np.asarray(u) * (1.0 - 2.0 * lo)  # untruncated cdf level
     with np.errstate(divide="ignore"):
         left = -q / 2 + np.log(2.0 * p) / eps
@@ -258,7 +236,7 @@ def trlap_sample(spec: NoiseSpec, rng: RngStream, size=None):
     return float(z) if size is None else z
 
 
-def trlap_output_pmf(k: int, spec: NoiseSpec) -> np.ndarray:
+def trlap_output_pmf(k: int, q: float, eps: float) -> np.ndarray:
     """Exact release pmf over {0..k} for a bar of count k under the mechanism.
 
     The released count is max(0, round(k + z)); rounding is half away from
@@ -267,14 +245,16 @@ def trlap_output_pmf(k: int, spec: NoiseSpec) -> np.ndarray:
     """
     if k < 0 or int(k) != k:
         raise ParameterError("k must be a non-negative integer")
+    if not (q > 0 and eps > 0):
+        raise ParameterError("q and eps must be positive")
     k = int(k)
     if k == 0:
         return np.array([1.0])
     pmf = np.empty(k + 1)
-    pmf[0] = trlap_cdf(spec, 0.5 - k)
+    pmf[0] = trlap_cdf(q, eps, 0.5 - k)
     for j in range(1, k):
-        pmf[j] = trlap_cdf(spec, j + 0.5 - k) - trlap_cdf(spec, j - 0.5 - k)
-    pmf[k] = 1.0 - trlap_cdf(spec, -0.5)
+        pmf[j] = trlap_cdf(q, eps, j + 0.5 - k) - trlap_cdf(q, eps, j - 0.5 - k)
+    pmf[k] = 1.0 - trlap_cdf(q, eps, -0.5)
     return pmf
 
 
@@ -294,9 +274,10 @@ def mech_trlap(x: Histogram, tau: float, eps: float, rng: RngStream) -> Histogra
         raise DomainError("mech_trlap needs a non-empty histogram")
     if tau == 0:
         return x
-    spec = NoiseSpec(q=tau * x.size, eps=eps)
+    if not eps > 0:
+        raise ParameterError("eps must be positive")
     counts = x.bars()[1]
-    z = trlap_sample(spec, rng, size=len(counts))
+    z = trlap_sample(tau * x.size, eps, rng, size=len(counts))
     return x.with_counts(np.floor(counts + z + 0.5))  # round half away; <= 0 is dropped
 
 

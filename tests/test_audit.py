@@ -35,7 +35,7 @@ from flexhist.hist import (
     ParameterError,
     maxk,
 )
-from flexhist.mechanisms import UNDEFINED, NoiseSpec, trlap_output_pmf
+from flexhist.mechanisms import UNDEFINED, trlap_output_pmf
 from flexhist.transport import DiscreteDistribution, winf_lossy
 
 SPACE = MetricSpace(1, 100.0)
@@ -142,7 +142,7 @@ def test_dp_delta_exact_at_fixed_tau_exceeds_the_closed_form():
     assert moving == pytest.approx(0.0152777456895, abs=1e-12)
     assert moving > trlap_delta(1.0, 9.0)
     # with q held at 9 on both sides the exact delta is the closed form
-    fixed = AuditInstance(x, x2, lambda c, n, eps: trlap_output_pmf(c, NoiseSpec(q=9, eps=eps)))
+    fixed = AuditInstance(x, x2, lambda c, n, eps: trlap_output_pmf(c, 9, eps))
     assert dp_delta_exact(fixed, 1.0) == pytest.approx(0.00965141093268, abs=1e-12)
     assert dp_delta_exact(fixed, 1.0) == pytest.approx(trlap_delta(1.0, 9.0), abs=1e-15)
 
@@ -178,7 +178,7 @@ def test_dp_delta_exact_guards():
 
 def test_trlap_pmf_factory():
     f = trlap_pmf_factory(0.5)
-    assert np.array_equal(f(3, 10, 1.0), trlap_output_pmf(3, NoiseSpec(q=5.0, eps=1.0)))
+    assert np.array_equal(f(3, 10, 1.0), trlap_output_pmf(3, 5.0, 1.0))
     with pytest.raises(ParameterError):
         trlap_pmf_factory(0.0)
     with pytest.raises(ParameterError):
@@ -270,6 +270,8 @@ def test_flexible_error_matches_brute_force():
 def test_flexible_error_brute_guard():
     with pytest.raises(DomainError):
         flexible_error_brute(MAX, H({0: 13}), 1.0, 0.1)
+    with pytest.raises(DomainError, match="^flexible_error needs a non-empty histogram$"):
+        flexible_error_brute(MAX, H({}), 1.0, 0.1)
 
 
 def test_flexible_error_brute_scores_a_support_by_dsupp():
@@ -358,16 +360,19 @@ def test_flexible_error_of_a_float_array():
     assert flexible_error(MAX, x, (), 0.0).shape == (0,)
 
 
-@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, np.float64("nan"),
-                                 pytest.param(10**400, id="10**400"),  # ints beyond
-                                 pytest.param(-10**400, id="-10**400")])  # the float range
-def test_flexible_error_of_a_sequence_rejects_what_a_single_value_rejects(bad):
+@pytest.mark.parametrize("bad, shown", [
+    (math.nan, None), (math.inf, None), (-math.inf, None), (np.float64("nan"), None),
+    (10**400, None), (-10**400, None),  # ints beyond the float range
+    (10**5000, "<int of 16610 bits>"),  # an int too long for repr
+], ids=["nan0", "inf", "-inf", "nan1", "10**400", "-10**400", "10**5000"])
+def test_flexible_error_of_a_sequence_rejects_what_a_single_value_rejects(bad, shown):
     x = H({5: 2, 8: 1})
     with pytest.raises(ParameterError) as alone:
         flexible_error(MAX, x, bad, 0.1)
     with pytest.raises(ParameterError) as among:
         flexible_error(MAX, x, [UNDEFINED, 3.0, bad, 7.0], 0.1)
-    assert str(among.value) == str(alone.value) == f"released value {bad!r} is not finite"
+    want = f"released value {shown or repr(bad)} is not finite"
+    assert str(among.value) == str(alone.value) == want
     with pytest.raises(ParameterError, match="drop budget"):  # as UNDEFINED alone does not
         flexible_error(MAX, x, [UNDEFINED, 3.0], 1.0)
     assert flexible_error(MAX, x, [UNDEFINED], 1.0).tolist() == [100.0]

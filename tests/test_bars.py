@@ -28,7 +28,7 @@ from flexhist.hist import (
     eval_statistic,
     maxk,
 )
-from flexhist.mechanisms import NoiseSpec, RngStream, mech_trlap, trlap_sample
+from flexhist.mechanisms import RngStream, mech_trlap, trlap_sample
 
 SPACE = MetricSpace(1, 64.0)
 PLANE = MetricSpace(2, 8.0)
@@ -63,10 +63,9 @@ def _eval_statistic_loops(kind, x):
 def _mech_trlap(x, tau, eps, rng):
     if tau == 0:
         return x
-    spec = NoiseSpec(q=tau * x.size, eps=eps)
     points = [g for g, _ in x.items()]
     counts = np.array([c for _, c in x.items()], dtype=float)
-    z = trlap_sample(spec, rng, size=len(points))
+    z = trlap_sample(tau * x.size, eps, rng, size=len(points))
     released = np.maximum(0.0, np.floor(counts + z + 0.5))  # round half away, then clamp
     out = {g: int(c) for g, c in zip(points, released) if c > 0}
     return Histogram(out, x.space)
@@ -75,7 +74,7 @@ def _mech_trlap(x, tau, eps, rng):
 def _bns_hist(x, eps, delta, rng):
     thr = 1.0 + 2.0 * math.log(2.0 / delta) / eps
     bars = list(x.items())
-    noise = rng.laplace(2.0 / eps, size=len(bars)).tolist()  # one draw per bar, in order
+    noise = rng.laplace(scale=2.0 / eps, size=len(bars)).tolist()  # one draw per bar, in order
     out: dict[tuple, int] = {}
     for (g, n), z in zip(bars, noise):
         v = n + z
@@ -95,7 +94,7 @@ def _sanpoints(x, eps, delta, k_rounds, rng):
         heights = np.array([remaining[g] for g in pts], dtype=float)
         w = np.exp(eps_round * (heights - heights.max()) / 2.0)
         g = pts[rng.choice_weighted(w)]
-        out[g] = max(0, round(remaining.pop(g) + rng.laplace(2.0 * k_rounds / eps)))
+        out[g] = max(0, round(remaining.pop(g) + rng.laplace(scale=2.0 * k_rounds / eps)))
     return Histogram(out, x.space)
 
 
@@ -122,7 +121,7 @@ def assert_same(new, old):
 
 
 def assert_same_stream_position(rng_new, rng_old):
-    assert rng_new.uniform() == rng_old.uniform()
+    assert rng_new.random() == rng_old.random()
 
 
 # ---------------------------------------------------------------------------

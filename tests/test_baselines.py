@@ -135,6 +135,11 @@ def test_exp_mech_needs_bounded_domain():
     x = Histogram({2: 1}, MetricSpace(1))
     with pytest.raises(DomainError):
         exp_mech(MAX, x, 1.0, RngStream(0))
+    plane = Histogram({(1, 2): 3, (4, 5): 1}, MetricSpace(2, 10.0))
+    with pytest.raises(DomainError, match="^baseline mechanisms are 1-D only$"):
+        exp_mech(MAX, plane, 1.0, RngStream(0))
+    with pytest.raises(DomainError, match="^baseline mechanisms are 1-D only$"):
+        ptr_mech(MAX, plane, 1.0, 0.01, RngStream(0))
 
 
 # ---------------------------------------------------------------------------
@@ -547,11 +552,11 @@ def test_bns_hist_matches_one_scalar_draw_per_bar():
         rng, ref = RngStream(seed), RngStream(seed)
         want = {}
         for g, n in x.items():
-            v = n + ref.laplace(2.0 / eps)
+            v = n + ref.laplace(scale=2.0 / eps)
             if v > thr:
                 want[g] = round(v)
         assert dict(bns_hist(x, eps, delta, rng).items()) == want
-        assert rng.uniform() == ref.uniform()  # the stream ends in step
+        assert rng.random() == ref.random()  # the stream ends in step
 
 
 # ---------------------------------------------------------------------------

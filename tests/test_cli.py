@@ -105,19 +105,28 @@ def test_mech_run_buckethist_with_certificates(hist_file, capsys):
     assert "(statistic max)" in out
 
 
-def test_mech_run_buckethist_cert_lines_golden(hist_file, capsys):
+def test_mech_run_buckethist_cert_lines_golden(hist_file, tmp_path, capsys):
+    three = tmp_path / "three.txt"
+    three.write_text("0 30\n1 30\n2 30\n")
     dp = "CERT dp ε=1 δ=9.53674316406e-07"
     acc = "CERT accuracy α=0.342778059882 β=0.4 γ=0 distortion=drop"
+    low = "CERT accuracy α=0.0666666666667 β=0.5 γ=0 distortion=drop"
     expected = {
-        "max": [dp, f"{acc} (histogram release)", f"{acc} (statistic max)"],
-        "maxk --k 1": [dp, f"{acc} (histogram release)", f"{acc} (statistic maxk(1))"],
-        "mode": [dp, f"{acc} (histogram release)",
-                 "CERT accuracy for mode unavailable: "
-                 "no analytic bound for statistic mode"],
+        (hist_file, "max --eps 1.0"): [
+            dp, f"{acc} (histogram release)", f"{acc} (statistic max)"],
+        (hist_file, "maxk --k 1 --eps 1.0"): [
+            dp, f"{acc} (histogram release)", f"{acc} (statistic maxk(1))"],
+        (hist_file, "mode --eps 1.0"): [
+            dp, f"{acc} (histogram release)",
+            "CERT accuracy for mode unavailable: no analytic bound for statistic mode"],
+        # derived alpha < 1, but eps*tau*n is too small for the closed-form delta
+        (str(three), "max --eps 0.01 --delta 0.5 --beta 0.5 --bound 3"): [
+            "CERT dp unavailable: cert unavailable: eps*tau*n = 0.02 < 2",
+            f"{low} (histogram release)", f"{low} (statistic max)"],
     }
-    for stat, want in expected.items():
-        assert main(["mech", "run", "--mech", "buckethist", "--stat", *stat.split(),
-                     "--input", hist_file, "--eps", "1.0"]) == 0
+    for (path, args), want in expected.items():
+        assert main(["mech", "run", "--mech", "buckethist", "--input", path,
+                     "--stat", *args.split()]) == 0
         lines = capsys.readouterr().out.splitlines()
         assert [l for l in lines if l.startswith("CERT")] == want
 

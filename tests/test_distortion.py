@@ -48,6 +48,8 @@ def test_drop_examples():
     assert drop(H({0: 1}), H({0: 1, 1: 1})) == math.inf  # additions forbidden
     with pytest.raises(DomainError):
         drop(H({}), x)
+    with pytest.raises(DomainError, match="^drop across different spaces$"):
+        drop(x, H({0: 3}, MetricSpace(1, 50.0)))
 
 
 def test_drop_quasi_metric_on_chains():
@@ -68,6 +70,8 @@ def test_move_examples():
     assert move(H({0: 2}), H({0: 1})) == math.inf
     assert move(H({}), H({})) == 0.0
     assert move(H({3: 2}), H({3: 2})) == 0.0
+    with pytest.raises(DomainError, match="^move across different spaces$"):
+        move(H({3: 2}), H({3: 2}, MetricSpace(1, 50.0)))
 
 
 def test_move_metric_laws():
@@ -106,6 +110,8 @@ def test_drmv_validation():
         drmv(H({}), H({0: 1}), 1.0)
     with pytest.raises(ParameterError):
         drmv(H({0: 1}), H({0: 1}), -1.0)
+    with pytest.raises(DomainError, match="^drmv across different spaces$"):
+        drmv(H({0: 1}), H({0: 1}, MetricSpace(1, 50.0)), 1.0)
 
 
 def test_drmv_empty_target():

@@ -1,7 +1,10 @@
 """Seed splitting, truncated-Laplace noise, bucketing, and the combined release."""
 
 import math
+import os
 import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -9,6 +12,7 @@ import scipy.stats
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import flexhist
 from flexhist.hist import (
     MAX,
     DomainError,
@@ -22,7 +26,6 @@ from flexhist.mechanisms import (
     UNDEFINED,
     BucketSpec,
     MechParams,
-    NoiseSpec,
     RngStream,
     Undefined,
     emptiness_probs,
@@ -86,11 +89,11 @@ EDGE_SEEDS = [0, 1, 2**32 - 1, 2**32, 2**64 - 1]
 def _check_seeding(seeds):
     words = seed_sequence_words(np.array(seeds, dtype=np.uint64))
     assert words.dtype == np.uint64 and words.shape == (len(seeds), 4)
-    gen = np.random.Generator(np.random.PCG64(0))
+    stream = RngStream(0)
     for seed, row in zip(seeds, words.tolist()):
         assert row == np.random.SeedSequence(seed).generate_state(4, np.uint64).tolist()
-        RngStream.restate(gen, seed, row)
-        assert gen.bit_generator.state == np.random.default_rng(seed).bit_generator.state
+        assert stream.restate(row) is stream
+        assert stream.bit_generator.state == np.random.default_rng(seed).bit_generator.state
 
 
 def test_seeding_matches_default_rng_at_the_word_edges():
@@ -107,8 +110,8 @@ def test_seeding_matches_default_rng(seeds):
 
 def _draws(rng):
     # 32-bit integers first: a buffered half-draw would show in the first one
-    return (rng.integers(0, 100, 3).tolist(), rng.uniform(3).tolist(),
-            rng.laplace(2.0, 3).tolist(), rng.integers(0, 2**40, 2).tolist(),
+    return (rng.integers(0, 100, 3).tolist(), rng.random(3).tolist(),
+            rng.laplace(scale=2.0, size=3).tolist(), rng.integers(0, 2**40, 2).tolist(),
             rng.poisson(7.0, 3).tolist(), rng.choice_weighted(np.arange(1.0, 9.0)))
 
 
@@ -116,31 +119,51 @@ def _draws(rng):
 @given(st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=6),
        st.integers(0, 3).map(lambda k: 2 * k + 1))
 def test_restated_streams_draw_what_fresh_streams_draw(seeds, odd):
-    gen = np.random.Generator(np.random.PCG64(0))
+    stream = RngStream(0)
     words = seed_sequence_words(np.array(seeds, dtype=np.uint64)).tolist()
     for seed, row in zip(seeds, words):
         # an odd number of 32-bit draws past any buffered one leaves a half-draw buffered
-        gen.integers(0, 100, size=odd + gen.bit_generator.state["has_uint32"])
-        assert gen.bit_generator.state["has_uint32"] == 1
-        stream = RngStream.restate(gen, seed, row)
-        assert stream.seed == seed
-        assert _draws(stream) == _draws(RngStream(seed))
+        stream.integers(0, 100, size=odd + stream.bit_generator.state["has_uint32"])
+        assert stream.bit_generator.state["has_uint32"] == 1
+        assert _draws(stream.restate(row)) == _draws(RngStream(seed))
+
+
+def test_rng_stream_is_a_generator_with_three_methods_of_its_own():
+    # numpy's own draws under their own names: no renaming method such as
+    # laplace(scale), which a caller could mistake for Generator.laplace(loc)
+    assert issubclass(RngStream, np.random.Generator)
+    own = {name for name, v in vars(RngStream).items()
+           if callable(v) or isinstance(v, (classmethod, staticmethod, property))}
+    assert own == {"__init__", "restate", "choice_weighted"}
+    assert RngStream(2**64 + 5).bit_generator.state == np.random.default_rng(5).bit_generator.state
+
+
+def test_importing_flexhist_leaves_numpy_random_unloaded():
+    # RngStream is defined on first use: a process that only transports or
+    # scores never loads numpy.random (about 6 MB)
+    code = ("import sys, flexhist, flexhist.bench, flexhist.baselines\n"
+            "assert 'numpy.random' not in sys.modules\n"
+            "from flexhist.mechanisms import RngStream\n"
+            "assert 'numpy.random' in sys.modules and flexhist.RngStream is RngStream\n")
+    src = os.path.dirname(os.path.dirname(flexhist.__file__))
+    subprocess.run([sys.executable, "-c", code], check=True, timeout=60,
+                   env={**os.environ, "PYTHONPATH": src})
 
 
 def test_rng_stream_same_seed_same_draws():
     a = RngStream(12345)
     b = RngStream(12345)
-    assert np.array_equal(a.uniform(16), b.uniform(16))
+    assert np.array_equal(a.random(16), b.random(16))
     assert np.array_equal(a.integers(0, 50, 16), b.integers(0, 50, 16))
 
 
 def test_rng_stream_simple_draws():
     rng = RngStream(7)
-    u = rng.uniform(1000)
+    u = rng.random(1000)
     assert ((0 <= u) & (u < 1)).all()
     k = rng.integers(3, 9, 1000)
     assert k.min() >= 3 and k.max() <= 8
-    lap = rng.laplace(2.0, 1000)
+    lap = rng.laplace(scale=2.0, size=1000)
     assert np.isfinite(lap).all()
     pois = rng.poisson(4.0, 1000)
     assert (pois >= 0).all()
@@ -154,8 +177,8 @@ def test_choice_weighted_frequencies():
     assert abs(hits / n - 0.75) < 5 * math.sqrt(0.75 * 0.25 / n)
 
 
-class _TopDraw:
-    """A generator stand-in whose uniform draw is the largest float below 1."""
+class _TopDraw(RngStream):
+    """A stream whose uniform draw is the largest float below 1."""
 
     def random(self, size=None):
         return np.nextafter(1.0, 0.0)
@@ -167,9 +190,7 @@ class _TopDraw:
 ])
 def test_choice_weighted_never_picks_past_the_last_weighted_bar(weights, want):
     assert np.cumsum(weights / weights.sum())[-1] < np.nextafter(1.0, 0.0)
-    rng = RngStream(0)
-    rng._gen = _TopDraw()
-    assert rng.choice_weighted(weights) == want
+    assert _TopDraw(0).choice_weighted(weights) == want
 
 
 def test_choice_weighted_rejects_zero_total():
@@ -178,14 +199,19 @@ def test_choice_weighted_rejects_zero_total():
 
 
 # ---------------------------------------------------------------------------
-# noise spec and emptiness probabilities
+# noise parameters and emptiness probabilities
 
 
 def test_noise_spec_validation():
-    with pytest.raises(ParameterError):
-        NoiseSpec(q=0.0, eps=1.0)
-    with pytest.raises(ParameterError):
-        NoiseSpec(q=2.0, eps=0.0)
+    # the width q and eps of the noise: both must be positive
+    for q, eps in [(0.0, 1.0), (-1.0, 1.0), (math.nan, 1.0),
+                   (2.0, 0.0), (2.0, -1.0), (2.0, math.nan)]:
+        for k in (0, 3):
+            with pytest.raises(ParameterError, match="^q and eps must be positive$"):
+                trlap_output_pmf(k, q, eps)
+    for eps in (0.0, -1.0, math.nan):  # mech_trlap's q = tau*|x| is positive with tau
+        with pytest.raises(ParameterError, match="^eps must be positive$"):
+            mech_trlap(H({5: 2, 9: 1}), 0.5, eps, RngStream(3))
 
 
 def test_emptiness_probs_on_curve():
@@ -221,27 +247,27 @@ def test_emptiness_probs_validation():
 
 
 def test_trlap_cdf_boundaries_and_midpoint():
-    spec = NoiseSpec(q=2.0, eps=1.0)
-    assert trlap_cdf(spec, -2.0) == 0.0
-    assert trlap_cdf(spec, -5.0) == 0.0
-    assert trlap_cdf(spec, 0.0) == 1.0
-    assert trlap_cdf(spec, 3.0) == 1.0
+    q, eps = 2.0, 1.0
+    assert trlap_cdf(q, eps, -2.0) == 0.0
+    assert trlap_cdf(q, eps, -5.0) == 0.0
+    assert trlap_cdf(q, eps, 0.0) == 1.0
+    assert trlap_cdf(q, eps, 3.0) == 1.0
     # density is symmetric about -q/2
-    assert trlap_cdf(spec, -1.0) == pytest.approx(0.5, abs=1e-12)
+    assert trlap_cdf(q, eps, -1.0) == pytest.approx(0.5, abs=1e-12)
     # frozen: mass of Laplace(-1, 1) on [-2, -0.5] over its mass on [-2, 0]
-    assert trlap_cdf(spec, -0.5) == pytest.approx(0.8112296656009272, abs=1e-12)
+    assert trlap_cdf(q, eps, -0.5) == pytest.approx(0.8112296656009272, abs=1e-12)
 
 
 def test_trlap_cdf_monotone():
-    spec = NoiseSpec(q=3.0, eps=0.7)
+    q, eps = 3.0, 0.7
     grid = np.linspace(-3.5, 0.5, 200)
-    vals = [trlap_cdf(spec, t) for t in grid]
+    vals = [trlap_cdf(q, eps, t) for t in grid]
     assert all(a <= b + 1e-15 for a, b in zip(vals, vals[1:]))
 
 
 def test_trlap_sample_support_and_mean():
-    spec = NoiseSpec(q=2.0, eps=1.0)
-    z = trlap_sample(spec, RngStream(31337), size=20000)
+    q, eps = 2.0, 1.0
+    z = trlap_sample(q, eps, RngStream(31337), size=20000)
     assert ((-2.0 <= z) & (z <= 0.0)).all()
     # mean is -q/2 = -1; spread is below q/2, so 3 sigma / sqrt(N) < 0.022
     assert abs(z.mean() + 1.0) < 0.03
@@ -249,37 +275,36 @@ def test_trlap_sample_support_and_mean():
 
 
 def test_trlap_sample_scalar():
-    z = trlap_sample(NoiseSpec(q=2.0, eps=1.0), RngStream(5))
+    z = trlap_sample(2.0, 1.0, RngStream(5))
     assert isinstance(z, float)
     assert -2.0 <= z <= 0.0
 
 
 def test_trlap_sample_matches_cdf():
     # empirical cdf at a few fixed thresholds vs the closed form
-    spec = NoiseSpec(q=4.0, eps=0.5)
-    z = trlap_sample(spec, RngStream(808), size=40000)
+    q, eps = 4.0, 0.5
+    z = trlap_sample(q, eps, RngStream(808), size=40000)
     for t in (-3.0, -2.0, -1.0, -0.25):
-        assert abs((z <= t).mean() - trlap_cdf(spec, t)) < 0.01
+        assert abs((z <= t).mean() - trlap_cdf(q, eps, t)) < 0.01
 
 
 def test_trlap_output_pmf_consistency():
-    spec = NoiseSpec(q=2.0, eps=1.0)
-    assert np.array_equal(trlap_output_pmf(0, spec), [1.0])
-    pmf = trlap_output_pmf(5, spec)
+    q, eps = 2.0, 1.0
+    assert np.array_equal(trlap_output_pmf(0, q, eps), [1.0])
+    pmf = trlap_output_pmf(5, q, eps)
     assert len(pmf) == 6
     assert pmf.sum() == pytest.approx(1.0, abs=1e-12)
     # a bar can lose at most floor(q + 1/2) = 2 elements
     assert pmf[0] == 0.0 and pmf[1] == 0.0 and pmf[2] == 0.0
     assert pmf[3] > 0 and pmf[5] > 0
     with pytest.raises(ParameterError):
-        trlap_output_pmf(-1, spec)
+        trlap_output_pmf(-1, q, eps)
 
 
 def test_mech_trlap_matches_output_pmf():
     # per-bar release counts follow the exact pmf (chi-square, both bars)
     x = H({3: 3, 40: 2})
     tau, eps = 0.4, 1.0  # q = tau * 5 = 2
-    spec = NoiseSpec(q=2.0, eps=eps)
     n = 20000
     rng = RngStream(424242)
     tallies = {3: np.zeros(4, dtype=int), 40: np.zeros(3, dtype=int)}
@@ -289,7 +314,7 @@ def test_mech_trlap_matches_output_pmf():
         tallies[3][got.get((3,), 0)] += 1
         tallies[40][got.get((40,), 0)] += 1
     for grid, k in ((3, 3), (40, 2)):
-        expected = trlap_output_pmf(k, spec) * n
+        expected = trlap_output_pmf(k, 2.0, eps) * n
         keep = expected > 0
         stat = scipy.stats.chisquare(tallies[grid][keep], expected[keep])
         assert stat.pvalue > 1e-3
@@ -373,6 +398,9 @@ def test_mech_bucket_errors():
         mech_bucket(H({100: 1}), BucketSpec(w=10.0, B=100.0))  # 100 not < B
     with pytest.raises(DomainError):
         mech_bucket(H({5: 1}), BucketSpec(w=10.0, B=100.0, d=2))
+    plane = Histogram({(1, 2): 1, (3, 12): 2}, MetricSpace(2, 100.0))
+    with pytest.raises(DomainError, match=r"^point \(3, 12\) outside \[0,10.0\)\^2$"):
+        mech_bucket(plane, BucketSpec(w=2.0, B=10.0, d=2))
 
 
 def _bucket_by_dict(x, spec):

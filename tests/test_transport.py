@@ -129,6 +129,8 @@ def test_winf_lossy_gamma_validation():
         winf_lossy(delta(0), delta(1), -0.1)
     with pytest.raises(DomainError):
         winf_lossy(delta(0), delta(1), 1.5)
+    with pytest.raises(DomainError, match="^transport across different spaces$"):
+        winf_lossy_witness(delta(0), delta(0, MetricSpace(1, 50.0)), 0.5)
 
 
 def test_winf_lossy_monotone_in_gamma():
@@ -359,6 +361,8 @@ def test_w_avg_2d_roundoff_keeps_the_path_tree_acyclic():
 def test_w_avg_theta_validation():
     with pytest.raises(DomainError):
         w_avg_lossy(delta(0), delta(1), 2.0)
+    with pytest.raises(DomainError, match="^transport across different spaces$"):
+        w_avg_lossy(delta(0), delta(0, MetricSpace(1, 50.0)), 0.5)
 
 
 # ---------------------------------------------------------------------------
