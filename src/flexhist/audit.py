@@ -30,6 +30,7 @@ from .hist import (
     dsupp,
     eval_statistic,
     neighbors,
+    require_1d_statistic,
 )
 from .mechanisms import UNDEFINED, trlap_output_pmf
 from .transport import DiscreteDistribution
@@ -238,8 +239,7 @@ def flexible_error(kind: StatisticKind, x: Histogram, released,
     values = released if many else [released]
     if x.size == 0:
         raise DomainError("flexible_error needs a non-empty histogram")
-    if kind.name != "support" and x.space.dimension != 1:
-        raise DomainError(f"{kind} is defined on 1-D histograms only")
+    require_1d_statistic(kind, x)
     undefined = np.array([v is UNDEFINED for v in values], dtype=bool)
     out = np.full(len(values), _full_range(x) if undefined.any() else math.nan)
     if not undefined.all():
@@ -282,7 +282,13 @@ def _reachable(kind: StatisticKind, x: Histogram, m: int) -> np.ndarray:
         ranked = np.sort(cnt)
         above = np.concatenate((np.cumsum(ranked[::-1])[::-1], [0]))
         i = np.searchsorted(ranked, cnt, side="right")
-        cost = above[i] - (cnt.size - i) * cnt + _left_at_least(cnt)
+        excess = above[i] - (cnt.size - i) * cnt  # trims of the strictly taller rivals
+        # excess <= cost, so only bars with excess <= m can be reached; a rival
+        # r with cnt[r] >= cnt[b] has excess[r] <= excess[b], so every rival a
+        # candidate counts is a candidate too, and counting among them suffices
+        cand = np.flatnonzero(excess <= m)
+        cost = np.full(cnt.size, m + 1)
+        cost[cand] = excess[cand] + _left_at_least(cnt[cand])
     reach = pts[cost <= m]
     reach.flags.writeable = False  # shared by every caller of the cache
     return reach
@@ -353,8 +359,7 @@ def flexible_error_brute(kind: StatisticKind, x: Histogram, released,
         raise DomainError("flexible_error needs a non-empty histogram")
     if x.size > _BRUTE_COUNT_GUARD:
         raise DomainError(f"brute-force guard: more than {_BRUTE_COUNT_GUARD} elements")
-    if kind.name != "support" and x.space.dimension != 1:
-        raise DomainError(f"{kind} is defined on 1-D histograms only")
+    require_1d_statistic(kind, x)
     if released is UNDEFINED:
         return _full_range(x)
     m = _drop_allowance(budget, x.size)

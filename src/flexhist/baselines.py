@@ -25,7 +25,14 @@ from functools import lru_cache
 import numpy as np
 
 from . import mechanisms
-from .hist import DomainError, Histogram, ParameterError, StatisticKind, eval_statistic
+from .hist import (
+    DomainError,
+    Histogram,
+    ParameterError,
+    StatisticKind,
+    eval_statistic,
+    require_1d_statistic,
+)
 from .mechanisms import UNDEFINED, statistic_or_undefined
 
 
@@ -275,12 +282,13 @@ def sanpoints(x: Histogram, eps: float, delta: float, k_rounds: int,
     if k_rounds > len(x):
         raise ParameterError(f"k_rounds = {k_rounds} exceeds {len(x)} occupied bars")
     heights = x.bars()[1].astype(float)
-    left = list(range(len(heights)))  # bars not yet chosen, in point order
+    left = np.arange(len(heights))  # bars not yet chosen, in point order
     eps_round = eps / (2.0 * k_rounds)
     out = np.zeros(len(heights))  # unchosen bars, and chosen ones rounding to <= 0, drop out
     for _ in range(k_rounds):
         h = heights[left]
-        i = left.pop(rng.choice_weighted(np.exp(eps_round * (h - h.max()) / 2.0)))
+        j = rng.choice_weighted(np.exp(eps_round * (h - h.max()) / 2.0))
+        i, left = left[j], np.delete(left, j)
         out[i] = heights[i] + rng.laplace(scale=2.0 * k_rounds / eps)
     return x.with_counts(np.rint(out))  # rint: half to even, as round, and inf stays inf
 
@@ -291,10 +299,12 @@ def sanpoints(x: Histogram, eps: float, delta: float, k_rounds: int,
 
 def bns_mech(kind: StatisticKind, x: Histogram, eps: float, delta: float,
              rng: mechanisms.RngStream):
+    require_1d_statistic(kind, x)  # before any draw: an empty release would answer undefined
     return statistic_or_undefined(kind, bns_hist(x, eps, delta, rng))
 
 
 def sanpoints_mech(kind: StatisticKind, x: Histogram, eps: float, delta: float,
                    rng: mechanisms.RngStream, k_rounds: int = 8):
+    require_1d_statistic(kind, x)
     released = sanpoints(x, eps, delta, min(k_rounds, max(1, len(x))), rng)
     return statistic_or_undefined(kind, released)

@@ -81,7 +81,7 @@ class MetricSpace:
 class Histogram:
     """Immutable sparse histogram: non-negative integer count per ground point."""
 
-    __slots__ = ("_bars", "_size", "space", "_hash")
+    __slots__ = ("_bars", "_size", "space", "_hash", "_coords")
 
     def __init__(self, entries: Mapping[PointLike, int] | tuple[np.ndarray, np.ndarray],
                  space: MetricSpace):
@@ -174,8 +174,14 @@ class Histogram:
         return self._bars
 
     def coordinates(self) -> np.ndarray:
-        """The points of a 1-D histogram as a float64 array, ascending."""
-        return np.array([v for v, in self._bars[0]], dtype=float)
+        """The points of a 1-D histogram as a read-only float64 array, ascending."""
+        try:
+            return self._coords
+        except AttributeError:  # first call; kept, as the hash is
+            v = np.array([v for v, in self._bars[0]], dtype=float)
+            v.flags.writeable = False
+            object.__setattr__(self, "_coords", v)
+            return v
 
     def with_counts(self, counts) -> Histogram:
         """These points with new integral counts, one per bar in point order; <= 0 is left out."""
@@ -320,8 +326,7 @@ def eval_statistic(kind: StatisticKind, x: Histogram):
         raise UndefinedStatisticError("statistic of an empty histogram")
     if kind.name == "support":
         return x.support()
-    if x.space.dimension != 1:
-        raise DomainError(f"{kind} is defined on 1-D histograms only")
+    require_1d_statistic(kind, x)
     points, counts = x.bars()
     if kind.name == "maxk":
         qualifying = np.flatnonzero(counts >= kind.k)
@@ -333,6 +338,13 @@ def eval_statistic(kind: StatisticKind, x: Histogram):
     else:
         i = -1 if kind.name == "max" else 0
     return points[i][0]  # the stored Python scalar, not a numpy one
+
+
+def require_1d_statistic(kind: StatisticKind, x: Histogram) -> None:
+    """Raise DomainError for a statistic other than support on a histogram of
+    more than one dimension."""
+    if kind.name != "support" and x.space.dimension != 1:
+        raise DomainError(f"{kind} is defined on 1-D histograms only")
 
 
 # ---------------------------------------------------------------------------

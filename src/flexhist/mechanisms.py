@@ -10,6 +10,7 @@ touched, so the output support stays inside the input support.
 
 from __future__ import annotations
 
+import copyreg
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -176,8 +177,17 @@ def __getattr__(name: str):
             # pick is the last bar with weight, the first where c reaches c[-1]
             return int(np.searchsorted(c, c[-1], side="left"))
 
+    # numpy's Generator pickles and copies as the base class: register a
+    # reduction that rebuilds this class at the same stream position
+    copyreg.pickle(RngStream, lambda s: (_stream_at, (type(s), s.bit_generator.state)))
     globals()["RngStream"] = RngStream
     return RngStream
+
+
+def _stream_at(cls: type, state: dict):
+    stream = cls(0)
+    stream.bit_generator.state = state
+    return stream
 
 
 # ---------------------------------------------------------------------------

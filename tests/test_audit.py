@@ -458,6 +458,39 @@ def test_flexible_error_matches_the_replaced_routines(bars, kind, drops, release
     assert flexible_error(kind, x, released, budget) == _reference(kind, x, released, m)
 
 
+def _mode_case(cnt):
+    return Histogram((np.arange(cnt.size) * 2, cnt), MetricSpace(1, 2.0 * cnt.size))
+
+
+@pytest.mark.parametrize("seed, drops", [(0, 0), (1, 40), (2, 2_000), (3, 20_000)])
+def test_mode_reachable_matches_the_quadratic_reference_on_wide_spreads(seed, drops):
+    # Poisson(3000) heights with a few towers and a run of ties: only the bars
+    # whose trims of taller rivals fit m are merge-counted
+    rng = np.random.default_rng(seed)
+    cnt = rng.poisson(3000, 400)
+    cnt[rng.choice(400, 5, replace=False)] = 3400
+    cnt[rng.choice(400, 30, replace=False)] = np.sort(cnt)[-40]
+    x = _mode_case(cnt)
+    excess = np.maximum(cnt[None, :] - cnt[:, None], 0).sum(axis=1)
+    assert 0 < np.count_nonzero(excess <= drops) < cnt.size  # the candidates: a strict subset
+    reach = _reachable(MODE, x, drops)
+    pts = x.coordinates()
+    assert set(reach.tolist()) == {float(p) for p in pts if _flex_mode(x, p, drops) == 0.0}
+    for released in (-3.5, 1.0, 401.0, 799.0, 1e4):
+        assert flexible_error(MODE, x, released, drops / x.size) == _flex_mode(x, released, drops)
+
+
+@pytest.mark.parametrize("drops", [0, 1, 399, 400, 5_000])
+def test_mode_reachable_with_all_counts_equal_counts_every_bar(drops):
+    # every bar is a candidate; bar b must beat the b bars to its left by one
+    # each, so exactly the bars with b <= drops are reachable
+    x = _mode_case(np.full(400, 3000))
+    reach = _reachable(MODE, x, drops)
+    assert reach.tolist() == [2.0 * b for b in range(min(drops + 1, 400))]
+    for released in (0.0, 301.0, 799.0):
+        assert flexible_error(MODE, x, released, drops / x.size) == _flex_mode(x, released, drops)
+
+
 def test_flexible_error_at_1e5_bars_stays_in_bounded_memory():
     n = 10**5
     cnt = np.random.default_rng(7).integers(1, 40, n)  # every bar occupied, heavy ties

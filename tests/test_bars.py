@@ -227,6 +227,18 @@ def test_sanpoints_matches_reference(x, eps, k_rounds, seed):
     assert_same_stream_position(rng_new, rng_old)
 
 
+@pytest.mark.parametrize("seed", [0, 7, 20260814, 2**64 - 1])
+@pytest.mark.parametrize("eps", [0.05, 0.4, 0.8, 5.0])
+def test_sanpoints_matches_reference_on_3000_bars(seed, eps):
+    # the size of the large-hist benchmark, where the bars left to pick are
+    # an index array rather than a list
+    heights = np.random.default_rng(seed).poisson(3000, 3000)
+    x = Histogram((np.arange(3000), heights), MetricSpace(1, 3000.0))
+    rng_new, rng_old = RngStream(seed), RngStream(seed)
+    assert_same(sanpoints(x, eps, 2.0**-20, 8, rng_new), _sanpoints(x, eps, 2.0**-20, 8, rng_old))
+    assert_same_stream_position(rng_new, rng_old)
+
+
 # ---------------------------------------------------------------------------
 # scoring and evaluation read the same bars
 

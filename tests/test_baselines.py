@@ -3,6 +3,7 @@
 import itertools
 import math
 import random
+import re
 import tracemalloc
 from collections import deque
 from pathlib import Path
@@ -28,7 +29,9 @@ from flexhist.baselines import (
 )
 from flexhist.hist import (
     MAX,
+    MIN,
     MODE,
+    SUPPORT,
     DomainError,
     Histogram,
     MetricSpace,
@@ -631,6 +634,22 @@ def test_sanpoints_mech_caps_rounds_at_occupied_bars():
     x = Histogram({3: 9, 20: 5}, B100)
     out = sanpoints_mech(MAX, x, 50.0, 0.01, RngStream(9), k_rounds=8)
     assert out in (3, 20)
+
+
+@pytest.mark.parametrize("mech", [bns_mech, sanpoints_mech])
+@pytest.mark.parametrize("counts", [(3, 1), (300, 100)])
+def test_wrappers_reject_1d_statistics_on_2d_histograms_before_drawing(mech, counts):
+    # small counts can release an empty histogram, whose statistic is undefined in
+    # any dimension, so the check must come before the release
+    x = Histogram({(1, 2): counts[0], (4, 5): counts[1]}, MetricSpace(2, 10.0))
+    for kind in (MAX, MIN, maxk(2), MODE):
+        rng = RngStream(0)
+        msg = re.escape(f"{kind} is defined on 1-D histograms only")
+        with pytest.raises(DomainError, match=msg):
+            mech(kind, x, 1.0, 0.01, rng)
+        assert rng.bit_generator.state == RngStream(0).bit_generator.state  # undrawn
+    out = mech(SUPPORT, x, 1.0, 0.01, RngStream(0))  # support has no dimension limit
+    assert out is UNDEFINED or out <= x.support()
 
 
 def test_all_baselines_deterministic_per_seed():

@@ -42,6 +42,7 @@ from flexhist.hist import (
     MetricSpace,
     ParameterError,
     maxk,
+    parse_statistic,
 )
 from flexhist.mechanisms import RngStream, mech_bucket, mech_hbs, split_seed
 
@@ -55,6 +56,13 @@ GOLDEN_CSV_SHA256 = {
     "exp4": "3be4b5b3f3e74976096bf3b4aab802226c01bcb048b71ca4f3564f0cb136208f",
     "exp5": "38b6b3ae3a94727aa3a419dd681428e362b6146a170344fc7d8da8f325b08736",
     "exp6": "82bca0b54b5c54d5daf8f70da3810d4e2b9458159c5589f50026053f525f2878",
+}
+
+# the same at the shape of the large-hist benchmark: 3,000 Poisson(3000) bars,
+# datasets = runs = 2, at threads = 1 and 2
+GOLDEN_LARGE_CSV_SHA256 = {
+    "max": "89bda6bce2c1c250b0f8ac530b39c3bcf4057bff5c4538383f0bec10fdd29fcc",
+    "mode": "585a8361a6631ee2dd6fccbe51474ba8d4368d66420fc16c50982646684b7f7e",
 }
 
 BASE_CFG = """
@@ -372,6 +380,19 @@ def test_run_to_csv_golden_bytes(name):
     run_to_csv(cfg, buf)
     digest = hashlib.sha256(buf.getvalue().encode("utf-8")).hexdigest()
     assert digest == GOLDEN_CSV_SHA256[name]
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("stat", sorted(GOLDEN_LARGE_CSV_SHA256))
+def test_run_to_csv_golden_bytes_on_3000_bars(stat, threads):
+    cfg = ExperimentConfig(
+        experiment=f"large-{stat}", statistic=parse_statistic(stat), bound=3000,
+        generator="poisson", bars=3000, poisson_mean=3000.0, eps_grid=(0.4, 0.8), beta=0.5,
+        datasets=2, runs=2, mechanisms=("buckethist", "expmech", "ptr", "bnshist", "sanpoints"))
+    buf = io.StringIO()
+    run_to_csv(cfg, buf, threads=threads)
+    digest = hashlib.sha256(buf.getvalue().encode("utf-8")).hexdigest()
+    assert digest == GOLDEN_LARGE_CSV_SHA256[stat]
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")

@@ -133,6 +133,27 @@ def test_histogram_pickle_roundtrip(x):
         y.size = 7
 
 
+@pytest.mark.parametrize("x", [
+    H({9: 2, 3: 1, 5: 4}),
+    H({2.5: 3, 0: 1}, MetricSpace(1, 10.0)),
+    H({}, MetricSpace(1, 8.0)),
+    Histogram((np.arange(3000) * 0.5, np.arange(1, 3001)), MetricSpace(1, 1500.0)),
+])
+def test_coordinates_are_built_once_and_read_only(x):
+    before = (hash(x), pickle.dumps(x))
+    v = x.coordinates()
+    assert x.coordinates() is v and not v.flags.writeable
+    fresh = np.array([g for g, in x.bars()[0]], dtype=float)
+    assert v.dtype == np.float64 and v.tobytes() == fresh.tobytes()
+    with pytest.raises(ValueError):
+        v[...] = 0.0
+    # a cache of the view: equality, hash and pickling do not see it
+    assert (hash(x), pickle.dumps(x)) == before
+    y = pickle.loads(pickle.dumps(x))
+    assert y == x and hash(y) == hash(x) and y.coordinates().tobytes() == v.tobytes()
+    assert x == Histogram(dict(x.items()), x.space)
+
+
 def test_histogram_items_sorted():
     x = H({5: 1, 2: 1, 9: 1})
     assert [g for g, _ in x.items()] == [(2,), (5,), (9,)]

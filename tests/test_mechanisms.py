@@ -1,7 +1,9 @@
 """Seed splitting, truncated-Laplace noise, bucketing, and the combined release."""
 
+import copy
 import math
 import os
+import pickle
 import re
 import subprocess
 import sys
@@ -167,6 +169,39 @@ def test_rng_stream_simple_draws():
     assert np.isfinite(lap).all()
     pois = rng.poisson(4.0, 1000)
     assert (pois >= 0).all()
+
+
+def _stream_draws(rng):
+    return (rng.random(3).tolist(), rng.integers(0, 100, 5).tolist(),
+            rng.laplace(scale=2.0, size=3).tolist(),
+            rng.choice_weighted(np.array([1.0, 2.0, 3.0])))
+
+
+@pytest.mark.parametrize("copier", [lambda r: pickle.loads(pickle.dumps(r)), copy.deepcopy,
+                                    copy.copy], ids=["pickle", "deepcopy", "copy"])
+def test_copied_stream_is_an_rng_stream_drawing_what_the_original_draws(copier):
+    rng = RngStream(3)
+    rng.integers(0, 5, size=3)  # an odd number of 32-bit draws leaves a half-draw buffered
+    assert rng.bit_generator.state["has_uint32"] == 1
+    twin = copier(rng)
+    assert type(twin) is RngStream and twin is not rng
+    assert twin.bit_generator.state == rng.bit_generator.state
+    assert _stream_draws(twin) == _stream_draws(rng)
+    assert twin.restate(seed_sequence_words(np.array([7], np.uint64))[0].tolist()).random() \
+        == RngStream(7).random()
+
+
+def test_pickled_stream_loads_in_a_process_that_never_named_rng_stream():
+    rng = RngStream(11)
+    rng.random(5)
+    code = ("import pickle, sys\n"
+            "rng = pickle.loads(sys.stdin.buffer.read())\n"
+            "print(type(rng).__name__, rng.random(), rng.choice_weighted([1.0, 1.0]))\n")
+    src = os.path.dirname(os.path.dirname(flexhist.__file__))
+    out = subprocess.run([sys.executable, "-c", code], input=pickle.dumps(rng), check=True,
+                         timeout=60, capture_output=True, env={**os.environ, "PYTHONPATH": src})
+    assert out.stdout.decode().split() == ["RngStream", repr(rng.random()),
+                                           str(rng.choice_weighted([1.0, 1.0]))]
 
 
 def test_choice_weighted_frequencies():
