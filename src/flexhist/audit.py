@@ -230,7 +230,8 @@ def flexible_error(kind: StatisticKind, x: Histogram, released,
 
     ``released`` is one value, or a list, tuple or array of them, scored in
     one pass into a float64 array; one value gives a float.  An undefined
-    release scores the full range, same as the benchmark's scoring rule.
+    release scores the full range, same as the benchmark's scoring rule; the
+    budget is checked all the same.
     The statistic's reachable values depend on x and the drop allowance
     only, so they are computed once per dataset (cached) and each release
     is scored by a nearest-point lookup; no enumeration.
@@ -240,10 +241,10 @@ def flexible_error(kind: StatisticKind, x: Histogram, released,
     if x.size == 0:
         raise DomainError("flexible_error needs a non-empty histogram")
     require_1d_statistic(kind, x)
+    m = _drop_allowance(budget, x.size)
     undefined = np.array([v is UNDEFINED for v in values], dtype=bool)
     out = np.full(len(values), _full_range(x) if undefined.any() else math.nan)
     if not undefined.all():
-        m = _drop_allowance(budget, x.size)
         if kind.name == "support":
             raise ParameterError(f"no exact flexible-error routine for {kind}")
         defined = [v for v, u in zip(values, undefined) if not u]
@@ -360,9 +361,9 @@ def flexible_error_brute(kind: StatisticKind, x: Histogram, released,
     if x.size > _BRUTE_COUNT_GUARD:
         raise DomainError(f"brute-force guard: more than {_BRUTE_COUNT_GUARD} elements")
     require_1d_statistic(kind, x)
+    m = _drop_allowance(budget, x.size)
     if released is UNDEFINED:
         return _full_range(x)
-    m = _drop_allowance(budget, x.size)
     best = math.inf
     for y in _sub_histograms(x, m):
         try:

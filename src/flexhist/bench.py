@@ -7,19 +7,18 @@ with ``runs`` repetitions each, and reports mean plain error and mean
 flexible error as percentages of the range [0, B).
 
 Determinism contract: identical config + master seed give a byte-identical
-CSV regardless of the worker-thread count.  Every (dataset, run, mechanism,
-epsilon) task derives its own stream seed via split_seed (computed for the
-whole grid at once, bit for bit the same), the (dataset, run) cells that
-threads run never share mutable state (a cell's tasks run in turn on the
-cell's own RngStream, which restate re-seeds in place for each task), and
-aggregation always walks results in fixed index order.
+CSV.  Every (dataset, run, mechanism, epsilon) task derives its own stream
+seed via split_seed (computed for the whole grid at once, bit for bit the
+same), one RngStream re-seeded in place draws each task's stream, and the
+runner visits the tasks, and aggregates their results, in fixed index order.
+The runner is serial: each task is a chain of small numpy calls that hold
+the GIL, so worker threads would only contend for it.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import IO, Callable, Sequence
 
@@ -367,37 +366,12 @@ def release(name: str, kind: StatisticKind, x: Histogram, eps: float, delta: flo
     raise ParameterError(f"unknown mechanism {name!r}")
 
 
-def _run_cell(cfg: ExperimentConfig, x: Histogram, truth: int,
-              words: np.ndarray) -> tuple[list[float], np.ndarray, list[tuple[str, ...]]]:
-    """The plain errors, flexible errors and flags of one (dataset, run) task's
-    (mechanism, eps) releases, in grid order.
-
-    ``words`` holds the tasks' rows of seed_sequence_words in that order; one
-    RngStream, restated in place per task, draws every task's stream.  The
-    releases are scored in one flexible_error call; the plain and flexible
-    errors are both capped at the range.
-    """
-    stream = mechanisms.RngStream(0)
-    tasks = [(name, eps) for name in cfg.mechanisms for eps in cfg.eps_grid]
-    released, flags = [], []
-    for (name, eps), row in zip(tasks, words.tolist()):
-        value, row_flags = release(name, cfg.statistic, x, eps, cfg.delta, cfg.beta_value,
-                                   cfg.sanpoints_rounds, stream.restate(row))
-        released.append(value)
-        flags.append(row_flags)
-    bound = float(cfg.bound)
-    plains = [bound if v is UNDEFINED else min(abs(float(v) - truth), bound) for v in released]
-    flexes = np.minimum(flexible_error(cfg.statistic, x, released, cfg.drop_budget), bound)
-    return plains, flexes, flags
-
-
 def run_experiment(cfg: ExperimentConfig, threads: int = 1
                    ) -> tuple[list[ResultRow], list[str]]:
     """Score every configured mechanism; returns (rows, metadata lines).
 
-    Rows come out in (mechanism, epsilon) grid order.  Thread count affects
-    wall time only: tasks are independent and the aggregation below reads
-    the result grid in fixed index order.
+    Rows come out in (mechanism, epsilon) grid order.  The runner is serial:
+    ``threads`` must be >= 1 and has no other effect.
     """
     if threads < 1:
         raise ParameterError("threads must be >= 1")
@@ -413,32 +387,44 @@ def run_experiment(cfg: ExperimentConfig, threads: int = 1
             raise DomainError(f"dataset {d}: statistic undefined on the raw "
                               f"input, nothing to score against") from exc
 
-    # one pass seeds every (dataset, run, mechanism, eps) stream; row
-    # d * runs + r holds the tasks of run r on dataset d
+    # one pass seeds every (dataset, run, mechanism, eps) stream; cell
+    # i = d * runs + r holds the tasks of run r on dataset d
     total = cfg.datasets * cfg.runs
     grid = (cfg.datasets, cfg.runs, len(cfg.mechanisms), len(cfg.eps_grid))
-    words = seed_sequence_words(split_seed_grid(cfg.seed, (), grid).reshape(total, -1))
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        cells = list(pool.map(
-            lambda i: _run_cell(cfg, datasets[i // cfg.runs], truths[i // cfg.runs], words[i]),
-            range(total)))
+    words = seed_sequence_words(split_seed_grid(cfg.seed, (), grid).reshape(total, -1)).tolist()
+    tasks = list(itertools.product(cfg.mechanisms, cfg.eps_grid))
+    # one contiguous row per (mechanism, eps), its cells in index order:
+    # determinism; both errors are capped at the range
+    plains = np.empty((len(tasks), total))
+    flexes = np.empty((len(tasks), total))
+    flags: list[set[str]] = [set() for _ in tasks]
+    bound = float(cfg.bound)
+    stream = mechanisms.RngStream(0)
+    for i in range(total):
+        x, truth = datasets[i // cfg.runs], truths[i // cfg.runs]
+        released = []
+        for t, ((name, eps), row) in enumerate(zip(tasks, words[i])):
+            value, row_flags = release(name, cfg.statistic, x, eps, cfg.delta, cfg.beta_value,
+                                       cfg.sanpoints_rounds, stream.restate(row))
+            released.append(value)
+            plains[t, i] = bound if value is UNDEFINED else min(abs(float(value) - truth), bound)
+            flags[t].update(row_flags)
+        flexes[:, i] = np.minimum(flexible_error(cfg.statistic, x, released, cfg.drop_budget),
+                                  bound)
 
-    # one contiguous row per (mechanism, eps), its tasks in fixed order: determinism
-    plains = np.ascontiguousarray(np.transpose([cell[0] for cell in cells]))
-    flexes = np.ascontiguousarray(np.transpose([cell[1] for cell in cells]))
     pct = 100.0 / cfg.bound
     rows: list[ResultRow] = []
-    for idx, (name, eps) in enumerate(itertools.product(cfg.mechanisms, cfg.eps_grid)):
-        stderr = 0.0 if total < 2 else float(plains[idx].std(ddof=1) / math.sqrt(total))
+    for t, (name, eps) in enumerate(tasks):
+        stderr = 0.0 if total < 2 else float(plains[t].std(ddof=1) / math.sqrt(total))
         rows.append(ResultRow(
             experiment=cfg.experiment,
             mechanism=name,
             epsilon=eps,
-            mean_err_pct=float(plains[idx].mean()) * pct,
-            mean_flex_err_pct=float(flexes[idx].mean()) * pct,
+            mean_err_pct=float(plains[t].mean()) * pct,
+            mean_flex_err_pct=float(flexes[t].mean()) * pct,
             stderr_pct=stderr * pct,
             runs=total,
-            flags="; ".join(sorted(set().union(*(cell[2][idx] for cell in cells)))),
+            flags="; ".join(sorted(flags[t])),
         ))
     return rows, _metadata(cfg, datasets)
 

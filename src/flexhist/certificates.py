@@ -56,15 +56,17 @@ def trlap_delta(eps: float, q: float) -> float:
     return math.expm1(eps) / (2.0 * math.expm1(eps * q / 2.0))
 
 
-def trlap_dp_cert(eps: float, tau: float, n: int) -> DPCert:
-    """Privacy certificate of the noise stage on inputs of size n (q = tau*n).
+def trlap_dp_cert(eps: float, q: float) -> DPCert:
+    """Privacy certificate of the noise stage at noise width q (tau*|x| for
+    the shipped mechanism).
 
-    Requires eps*tau*n >= 2 — below that the truncation window is too narrow
-    for the closed form to certify anything.
+    The closed form holds when q is the same on both neighbouring inputs, as
+    on the derived path; a fixed tau, which makes q follow |x|, is not
+    covered.  Requires eps*q >= 2 — below that the truncation window is too
+    narrow for the closed form to certify anything.
     """
-    if eps <= 0 or tau <= 0 or n <= 0:
-        raise ParameterError("eps, tau, n must be positive")
-    q = tau * n
+    if eps <= 0 or q <= 0:
+        raise ParameterError("eps and q must be positive")
     if eps * q < 2:
         raise ParameterError(
             f"cert unavailable: eps*tau*n = {eps * q:g} < 2")

@@ -87,6 +87,9 @@ def _cmd_bench_run(args) -> int:
 
 
 def _cmd_mech_run(args) -> int:
+    for option, value in (("--alpha", args.alpha), ("--beta", args.beta)):
+        if value is not None and args.mech != "buckethist":
+            raise ParameterError(f"{option} applies to --mech buckethist only")
     if not 0 < args.eps < math.inf:
         raise ParameterError("--eps must be finite and positive")
     if not 0 < args.delta < 1:
@@ -125,7 +128,7 @@ def _cmd_mech_run(args) -> int:
               " differs between neighbouring inputs")
     else:
         try:
-            print(trlap_dp_cert(args.eps, params.tau, x.size).line())
+            print(trlap_dp_cert(args.eps, params.tau * x.size).line())
         except ParameterError as exc:
             print(f"CERT dp unavailable: {exc}")
     if FLAG_NO_CERT in flags:
@@ -271,7 +274,10 @@ def build_parser() -> argparse.ArgumentParser:
     brun.add_argument("--out", required=True, help="output CSV path, or - for stdout")
     brun.add_argument("--seed", type=int, default=None,
                       help="override the config's master seed")
-    brun.add_argument("--threads", type=int, default=1)
+    brun.add_argument("--threads", type=int, default=1,
+                      help="accepted for compatibility and checked (>= 1); the runner is"
+                           " serial, so it changes nothing: run one process per config"
+                           " to use more cores")
     brun.set_defaults(func=_cmd_bench_run)
 
     mech = sub.add_parser("mech", help="single mechanism invocations")

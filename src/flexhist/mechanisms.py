@@ -43,7 +43,7 @@ def split_seed(master: int, *indices: int) -> int:
 
     s := master; for each index v: s := splitmix64(s XOR splitmix64(v)).
     Fixed for reproducibility: identical (master, indices) give identical
-    streams on every platform and thread count.
+    streams on every platform.
     """
     s = master & _M64
     for v in indices:

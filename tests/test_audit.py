@@ -220,6 +220,17 @@ def test_flexible_error_undefined_release_scores_full_range():
     assert flexible_error(MAX, H({5: 2}), UNDEFINED, 0.3) == 100.0
 
 
+@pytest.mark.parametrize("budget", [5.0, 1.0, -0.1, math.nan])
+def test_flexible_error_checks_the_budget_of_an_undefined_release(budget):
+    x = H({5: 2})
+    msg = re.escape(f"drop budget must be in [0,1), got {budget}")
+    for released in (UNDEFINED, [UNDEFINED], [UNDEFINED, UNDEFINED]):
+        with pytest.raises(ParameterError, match=msg):
+            flexible_error(MAX, x, released, budget)
+    with pytest.raises(ParameterError, match=msg):
+        flexible_error_brute(MAX, x, UNDEFINED, budget)
+
+
 def test_flexible_error_maxk_never_qualified():
     assert flexible_error(maxk(5), H({1: 2}), 1.0, 0.0) == 100.0
 
@@ -373,9 +384,8 @@ def test_flexible_error_of_a_sequence_rejects_what_a_single_value_rejects(bad, s
         flexible_error(MAX, x, [UNDEFINED, 3.0, bad, 7.0], 0.1)
     want = f"released value {shown or repr(bad)} is not finite"
     assert str(among.value) == str(alone.value) == want
-    with pytest.raises(ParameterError, match="drop budget"):  # as UNDEFINED alone does not
+    with pytest.raises(ParameterError, match="drop budget"):
         flexible_error(MAX, x, [UNDEFINED, 3.0], 1.0)
-    assert flexible_error(MAX, x, [UNDEFINED], 1.0).tolist() == [100.0]
     with pytest.raises(DomainError):
         flexible_error(MAX, Histogram({5: 2}, MetricSpace(1)), [3.0, UNDEFINED], 0.1)
 

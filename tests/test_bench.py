@@ -3,9 +3,11 @@
 import hashlib
 import io
 import math
+import threading
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from flexhist import bench
@@ -41,10 +43,11 @@ from flexhist.hist import (
     Histogram,
     MetricSpace,
     ParameterError,
+    eval_statistic,
     maxk,
     parse_statistic,
 )
-from flexhist.mechanisms import RngStream, mech_bucket, mech_hbs, split_seed
+from flexhist.mechanisms import UNDEFINED, RngStream, mech_bucket, mech_hbs, split_seed
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -358,6 +361,50 @@ def test_run_experiment_thread_count_does_not_change_the_csv():
     assert outs[0] == outs[1]
     assert CSV_COLUMNS == tuple(
         next(l for l in outs[0].splitlines() if not l.startswith("#")).split(","))
+
+
+@pytest.mark.parametrize("threads", [1, 4])
+def test_run_experiment_releases_on_the_calling_thread(monkeypatch, threads):
+    idents = []
+
+    def recorded(*args, **kwargs):
+        idents.append(threading.get_ident())
+        return release(*args, **kwargs)
+
+    monkeypatch.setattr(bench, "release", recorded)
+    cfg = parse_config(BASE_CFG)
+    run_experiment(cfg, threads=threads)
+    tasks = cfg.datasets * cfg.runs * len(cfg.mechanisms) * len(cfg.eps_grid)
+    assert idents == [threading.get_ident()] * tasks
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_CSV_SHA256))
+def test_run_experiment_rows_are_the_per_task_definition(name):
+    # each task on its own stream, scored alone; the runner seeds and scores in bulk
+    cfg = replace(read_config(str(CONFIGS / f"{name}.cfg")), datasets=2, runs=2)
+    datasets = [gen_dataset(cfg, RngStream(split_seed(cfg.seed, d))) for d in range(cfg.datasets)]
+    bound, pct = float(cfg.bound), 100.0 / cfg.bound
+    want = []
+    for m, mech in enumerate(cfg.mechanisms):
+        for e, eps in enumerate(cfg.eps_grid):
+            plains, flexes, flags = [], [], set()
+            for d, x in enumerate(datasets):
+                truth = int(eval_statistic(cfg.statistic, x))
+                for r in range(cfg.runs):
+                    rng = RngStream(split_seed(cfg.seed, d, r, m, e))
+                    value, row_flags = release(mech, cfg.statistic, x, eps, cfg.delta,
+                                               cfg.beta_value, cfg.sanpoints_rounds, rng)
+                    plains.append(bound if value is UNDEFINED
+                                  else min(abs(float(value) - truth), bound))
+                    flexes.append(min(flexible_error(cfg.statistic, x, value, cfg.drop_budget),
+                                      bound))
+                    flags.update(row_flags)
+            plains, flexes = np.array(plains), np.array(flexes)
+            stderr = float(plains.std(ddof=1) / math.sqrt(plains.size))
+            want.append(ResultRow(cfg.experiment, mech, eps, float(plains.mean()) * pct,
+                                  float(flexes.mean()) * pct, stderr * pct, plains.size,
+                                  "; ".join(sorted(flags))))
+    assert run_experiment(cfg)[0] == want
 
 
 def test_run_experiment_rejects_bad_inputs():

@@ -57,24 +57,26 @@ def test_trlap_delta_decreasing_in_q():
 
 
 def test_trlap_dp_cert_values():
-    c = trlap_dp_cert(eps=1.0, tau=0.5, n=12)  # q = 6
+    c = trlap_dp_cert(eps=1.0, q=6.0)
     assert c.eps == 1.0
     assert c.delta == pytest.approx(0.045015286585190224, abs=1e-18)
-    # more data, same tau: strictly smaller delta
-    assert trlap_dp_cert(1.0, 0.5, 20).delta < c.delta
+    # a wider window (more data, same tau): strictly smaller delta
+    assert trlap_dp_cert(1.0, 10.0).delta < c.delta
 
 
 def test_trlap_dp_cert_narrow_window_refused():
     with pytest.raises(ParameterError, match="cert unavailable"):
-        trlap_dp_cert(eps=1.0, tau=0.1, n=10)  # eps*q = 1 < 2
+        trlap_dp_cert(eps=1.0, q=1.0)  # eps*q = 1 < 2
     with pytest.raises(ParameterError):
-        trlap_dp_cert(eps=0.0, tau=0.5, n=10)
+        trlap_dp_cert(eps=0.0, q=5.0)
+    with pytest.raises(ParameterError):
+        trlap_dp_cert(eps=1.0, q=0.0)
 
 
 def test_trlap_dp_cert_vacuous_delta_refused():
     # q = 0.5 passes the eps*q >= 2 gate but the closed form exceeds one
     with pytest.raises(ParameterError, match="vacuous"):
-        trlap_dp_cert(eps=4.0, tau=0.5, n=1)
+        trlap_dp_cert(eps=4.0, q=0.5)
 
 
 def test_solve_q_frozen_values():

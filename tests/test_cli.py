@@ -186,6 +186,17 @@ def test_mech_run_buckethist_support_statistic(tmp_path, capsys):
     assert "CERT dp unavailable:" in out  # tau = 0 certifies nothing
 
 
+@pytest.mark.parametrize("option, value", [("--alpha", "0.3"), ("--beta", "7")])
+@pytest.mark.parametrize("mech", ["expmech", "sanpoints"])
+def test_mech_run_rejects_buckethist_options_for_other_mechanisms(hist_file, capsys, mech,
+                                                                  option, value):
+    assert main(["mech", "run", "--mech", mech, "--stat", "max", "--input", hist_file,
+                 "--eps", "1.0", option, value]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""  # nothing released
+    assert f"error: {option} applies to --mech buckethist only" in captured.err
+
+
 def test_mech_run_each_baseline(hist_file, capsys):
     for mech in ("expmech", "ptr", "smoothsens", "bnshist", "sanpoints"):
         assert main(["mech", "run", "--mech", mech, "--stat", "max",
@@ -409,6 +420,16 @@ def test_audit_flex_undefined_release_scores_the_range(flex_file, capsys):
     assert main(["audit", "flex", "--stat", "max", "--input", flex_file,
                  "--bound", "101", "--released", "undefined"]) == 0
     assert "flexible_error=101" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("budget", ["nan", "5", "1", "-0.1"])
+def test_audit_flex_undefined_release_checks_the_budget(flex_file, capsys, budget):
+    # an undefined release used to skip the check: budget=nan printed an error and exited 0
+    assert main(["audit", "flex", "--stat", "max", "--input", flex_file,
+                 "--released", "undefined", "--budget", budget]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error: drop budget must be in [0,1)" in captured.err
 
 
 # ---------------------------------------------------------------------------

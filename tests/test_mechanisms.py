@@ -142,9 +142,11 @@ def test_rng_stream_is_a_generator_with_three_methods_of_its_own():
 
 def test_importing_flexhist_leaves_numpy_random_unloaded():
     # RngStream is defined on first use: a process that only transports or
-    # scores never loads numpy.random (about 6 MB)
+    # scores never loads numpy.random (about 6 MB); the serial runner loads
+    # no thread pool
     code = ("import sys, flexhist, flexhist.bench, flexhist.baselines\n"
             "assert 'numpy.random' not in sys.modules\n"
+            "assert 'concurrent.futures' not in sys.modules\n"
             "from flexhist.mechanisms import RngStream\n"
             "assert 'numpy.random' in sys.modules and flexhist.RngStream is RngStream\n")
     src = os.path.dirname(os.path.dirname(flexhist.__file__))
