@@ -224,6 +224,15 @@ def _show(r) -> str:
         return f"<int of {r.bit_length()} bits>"
 
 
+#: the statistics ``flexible_error`` scores; ``check_scored`` rejects the rest
+SCORED = frozenset({"max", "min", "maxk", "mode"})
+
+
+def check_scored(kind: StatisticKind) -> None:
+    if kind.name not in SCORED:
+        raise ParameterError(f"no flexible-error scoring for statistic {kind}")
+
+
 def flexible_error(kind: StatisticKind, x: Histogram, released,
                    budget: float) -> float | np.ndarray:
     """Min over sub-histograms within the drop budget of |statistic - released|.
@@ -236,6 +245,7 @@ def flexible_error(kind: StatisticKind, x: Histogram, released,
     only, so they are computed once per dataset (cached) and each release
     is scored by a nearest-point lookup; no enumeration.
     """
+    check_scored(kind)
     many = isinstance(released, (list, tuple, np.ndarray))
     values = released if many else [released]
     if x.size == 0:
@@ -245,8 +255,6 @@ def flexible_error(kind: StatisticKind, x: Histogram, released,
     undefined = np.array([v is UNDEFINED for v in values], dtype=bool)
     out = np.full(len(values), _full_range(x) if undefined.any() else math.nan)
     if not undefined.all():
-        if kind.name == "support":
-            raise ParameterError(f"no exact flexible-error routine for {kind}")
         defined = [v for v, u in zip(values, undefined) if not u]
         v = np.array([_as_float(r) for r in defined])
         bad = np.flatnonzero(~np.isfinite(v))

@@ -19,13 +19,14 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
+from functools import lru_cache
 from typing import IO, Callable, Sequence
 
 import numpy as np
 
 from . import mechanisms
-from .audit import flexible_error
+from .audit import check_scored, flexible_error
 from .baselines import bns_mech, exp_mech, ptr_mech, sanpoints_mech, ss_mech
 from .certificates import solve_q
 from .hist import (
@@ -40,7 +41,6 @@ from .hist import (
 )
 from .mechanisms import (
     UNDEFINED,
-    BucketSpec,
     MechParams,
     mech_hbs,
     seed_sequence_words,
@@ -55,9 +55,6 @@ DEFAULT_SANPOINTS_ROUNDS = 8
 
 FLAG_APPROX = "approximate reproduction"
 FLAG_NO_CERT = "cert unavailable"
-
-CSV_COLUMNS = ("experiment", "mechanism", "epsilon", "mean_err_pct",
-               "mean_flex_err_pct", "stderr_pct", "runs", "flags")
 
 _NUMERIC = frozenset({"max", "min", "maxk", "mode"})
 _ANY = _NUMERIC | {"support"}
@@ -75,6 +72,11 @@ def check_releasable(name: str, kind: StatisticKind) -> None:
         raise ParameterError(f"mechanism {name} cannot release statistic {kind}")
 
 
+def default_beta(bound: float) -> float:
+    """buckethist's output-error bound when none is given: B/20."""
+    return bound / 20
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Everything the runner needs; one instance per experiment."""
@@ -89,7 +91,7 @@ class ExperimentConfig:
     runs: int = 10
     drop_budget: float = DEFAULT_DROP_BUDGET
     mechanisms: tuple[str, ...] = MECHANISMS
-    beta: float | None = None  # None -> bound / 20
+    beta: float | None = None  # None -> default_beta(bound)
     sanpoints_rounds: int = DEFAULT_SANPOINTS_ROUNDS
     scale: float = 1.0
     seed: int = DEFAULT_SEED
@@ -126,8 +128,7 @@ class ExperimentConfig:
         unknown = [m for m in self.mechanisms if m not in MECHANISMS]
         if unknown:
             raise ParameterError(f"unknown mechanisms: {', '.join(unknown)}")
-        if self.statistic.name == "support":
-            raise ParameterError("no flexible-error scoring for statistic support")
+        check_scored(self.statistic)
         for name in self.mechanisms:
             check_releasable(name, self.statistic)
         if self.generator not in ("cauchy", "steps", "poisson"):
@@ -161,7 +162,11 @@ class ExperimentConfig:
 
     @property
     def beta_value(self) -> float:
-        return self.bound / 20 if self.beta is None else self.beta
+        return default_beta(self.bound) if self.beta is None else self.beta
+
+    @property
+    def space(self) -> MetricSpace:  # the line every dataset lives on
+        return MetricSpace(1, float(self.bound))
 
 
 @dataclass(frozen=True)
@@ -181,15 +186,11 @@ class ResultRow:
                 raise ParameterError(f"percentage {v} outside [0,100]")
 
 
+CSV_COLUMNS = tuple(f.name for f in fields(ResultRow))
+
+
 # ---------------------------------------------------------------------------
 # config file parsing
-
-
-_LIST_KEYS = {"eps_grid", "mechanisms", "steps"}
-_INT_KEYS = {"bound", "datasets", "runs", "sanpoints_rounds", "seed", "items",
-             "zero_last", "bars", "k"}
-_FLOAT_KEYS = {"delta", "drop_budget", "beta", "scale", "median",
-               "cauchy_scale", "poisson_mean"}
 
 
 def _parse_number(tok: str) -> float:
@@ -199,6 +200,26 @@ def _parse_number(tok: str) -> float:
         base, exp = tok.split("^", 1)
         return math.pow(float(base), float(exp))  # ValueError where ** gives a complex or 1/0
     return float(tok)
+
+
+def _parse_block(tok: str) -> tuple[int, int]:
+    try:
+        h, w = tok.lower().split("x")
+        return int(h), int(w)
+    except ValueError:
+        raise ParameterError(f"bad steps block {tok!r}, expected HEIGHTxWIDTH") from None
+
+
+#: how parse_config reads a value, by the type of its ExperimentConfig field
+_READERS: dict[str, Callable] = {
+    "str": str,
+    "int": int,
+    "float": _parse_number,
+    "float | None": _parse_number,
+    "tuple[float, ...]": lambda value: tuple(map(_parse_number, value.split(","))),
+    "tuple[str, ...]": lambda value: tuple(tok.strip() for tok in value.split(",")),
+    "tuple[tuple[int, int], ...]": lambda value: tuple(map(_parse_block, value.split(","))),
+}
 
 
 def _convert(key: str, value: str, convert: Callable):
@@ -211,8 +232,9 @@ def _convert(key: str, value: str, convert: Callable):
 def parse_config(text: str) -> ExperimentConfig:
     """Parse a line-oriented ``key = value`` experiment description.
 
-    Lists are comma-separated; ``steps`` blocks are HEIGHTxWIDTH pairs;
-    ``#`` starts a comment.  Unknown keys are rejected so typos fail loudly.
+    Keys are ExperimentConfig's fields (required where it has no default)
+    and ``k``; lists are comma-separated; ``steps`` blocks are HEIGHTxWIDTH
+    pairs; ``#`` starts a comment.  Unknown keys are rejected so typos fail loudly.
     """
     raw: dict[str, str] = {}
     for ln, line in enumerate(text.splitlines(), start=1):
@@ -226,41 +248,19 @@ def parse_config(text: str) -> ExperimentConfig:
             raise ParameterError(f"config line {ln}: duplicate key {key!r}")
         raw[key] = value
 
-    known = (_LIST_KEYS | _INT_KEYS | _FLOAT_KEYS
-             | {"experiment", "statistic", "generator"})
-    unknown = set(raw) - known
+    schema = fields(ExperimentConfig)
+    unknown = set(raw) - {f.name for f in schema} - {"k"}
     if unknown:
         raise ParameterError(f"unknown config keys: {', '.join(sorted(unknown))}")
-    for required in ("experiment", "statistic", "bound", "generator", "eps_grid"):
-        if required not in raw:
-            raise ParameterError(f"config is missing the {required!r} key")
+    for f in schema:
+        if f.default is MISSING and f.name not in raw:
+            raise ParameterError(f"config is missing the {f.name!r} key")
 
-    kwargs: dict = {
-        "experiment": raw["experiment"],
-        "generator": raw["generator"].lower(),
-    }
-    kind = parse_statistic(raw["statistic"],
-                           k=_convert("k", raw["k"], int) if "k" in raw else None)
-    kwargs["statistic"] = kind
-    kwargs["eps_grid"] = tuple(_convert("eps_grid", t, _parse_number)
-                               for t in raw["eps_grid"].split(","))
-    if "mechanisms" in raw:
-        kwargs["mechanisms"] = tuple(t.strip() for t in raw["mechanisms"].split(","))
-    if "steps" in raw:
-        blocks = []
-        for tok in raw["steps"].split(","):
-            try:
-                h, w = tok.lower().split("x")
-                blocks.append((int(h), int(w)))
-            except ValueError:
-                raise ParameterError(f"bad steps block {tok!r}, expected HEIGHTxWIDTH")
-        kwargs["steps"] = tuple(blocks)
-    for key in _INT_KEYS - {"k"}:
-        if key in raw:
-            kwargs[key] = _convert(key, raw[key], int)
-    for key in _FLOAT_KEYS:
-        if key in raw:
-            kwargs[key] = _convert(key, raw[key], _parse_number)
+    k = _convert("k", raw["k"], int) if "k" in raw else None
+    readers = {**_READERS, "StatisticKind": lambda value: parse_statistic(value, k=k)}
+    kwargs = {f.name: _convert(f.name, raw[f.name], readers[f.type])
+              for f in schema if f.name in raw}
+    kwargs["generator"] = kwargs["generator"].lower()
     return ExperimentConfig(**kwargs)
 
 
@@ -279,19 +279,18 @@ def gen_dataset(cfg: ExperimentConfig, rng: mechanisms.RngStream) -> Histogram:
     The scale factor multiplies heights (item count for the Cauchy stream),
     preserving the shape of the data.
     """
-    space = MetricSpace(1, float(cfg.bound))
     if cfg.generator == "steps":
         widths = [width for _, width in cfg.steps]
         if sum(widths) > cfg.bound:
             raise ParameterError("steps blocks exceed the bound")
         heights = np.array([round(height * cfg.scale) for height, _ in cfg.steps], np.int64)
         counts = np.repeat(heights, widths)
-        return Histogram((np.arange(counts.size), counts), space)
+        return Histogram((np.arange(counts.size), counts), cfg.space)
     if cfg.generator == "poisson":
         if cfg.bars > cfg.bound:
             raise ParameterError("more bars than the bound allows")
         heights = rng.poisson(cfg.poisson_mean * cfg.scale, size=cfg.bars)
-        return Histogram((np.arange(cfg.bars), heights), space)
+        return Histogram((np.arange(cfg.bars), heights), cfg.space)
     # cauchy: inverse-CDF draws, rejecting out-of-range values, then the
     # rightmost zero_last bars are emptied (their items are discarded).
     want = round(cfg.items * cfg.scale)
@@ -307,34 +306,37 @@ def gen_dataset(cfg: ExperimentConfig, rng: mechanisms.RngStream) -> Histogram:
         np.add.at(bars, draws.astype(np.int64), 1)
         kept += draws.size
     bars[keep_below:] = 0
-    return Histogram((np.arange(cfg.bound), bars), space)
+    return Histogram((np.arange(cfg.bound), bars), cfg.space)
 
 
 # ---------------------------------------------------------------------------
 # our mechanism's parameter derivation
 
 
-def derive_mech_params(bound: float, beta: float, delta: float, eps: float,
+@lru_cache(maxsize=64)
+def derive_mech_params(space: MetricSpace, beta: float, delta: float, eps: float,
                        n: int) -> tuple[MechParams, tuple[str, ...]]:
-    """(alpha, beta, eps) for the bucketed noisy-histogram release.
+    """(alpha, beta, eps) for the bucketed noisy-histogram release over space.
 
     q comes from the delta solver, tau = q/n and alpha = tau*t.  When the
     derivation leaves the valid range (tau or alpha >= 1, e.g. a tiny input)
     the run still happens with alpha clamped just below 1, but the result is
-    flagged: no certificate covers it.
+    flagged: no certificate covers it.  Cached: each run of a dataset repeats it.
     """
+    if n < 1:
+        raise DomainError("buckethist needs a non-empty histogram")
     q = solve_q(eps, delta)
-    t = BucketSpec(w=2.0 * beta, B=float(bound)).bucket_count
-    alpha = (q / n) * t
+    params = MechParams(alpha=0.0, beta=beta, eps=eps, B=space.bound, d=space.dimension)
+    alpha = (q / n) * params.t
     flags: tuple[str, ...] = ()
     if not alpha < 1:
         alpha = math.nextafter(1.0, 0.0)
         flags = (FLAG_NO_CERT,)
-    return MechParams(alpha=alpha, beta=beta, eps=eps, B=float(bound)), flags
+    return MechParams(alpha, beta, eps, params.B, params.d), flags
 
 
 def derive_params(cfg: ExperimentConfig, eps: float, n: int) -> tuple[MechParams, tuple[str, ...]]:
-    return derive_mech_params(cfg.bound, cfg.beta_value, cfg.delta, eps, n)
+    return derive_mech_params(cfg.space, cfg.beta_value, cfg.delta, eps, n)
 
 
 # ---------------------------------------------------------------------------
@@ -347,11 +349,11 @@ def release(name: str, kind: StatisticKind, x: Histogram, eps: float, delta: flo
 
     Each mechanism is called by its name in this module's globals, so a
     wrapper installed over that name sees every call.  buckethist derives
-    its parameters from x's bound and size (its flags say whether a
+    its parameters from x's space and size (its flags say whether a
     certificate covers them); ``rounds`` is sanpoints' round count.
     """
     if name == "buckethist":
-        params, flags = derive_mech_params(x.space.bound, beta, delta, eps, x.size)
+        params, flags = derive_mech_params(x.space, beta, delta, eps, x.size)
         return mech_hbs(kind, x, params, rng), flags
     if name == "expmech":
         return exp_mech(kind, x, eps, rng), ()
@@ -441,24 +443,19 @@ def _metadata(cfg: ExperimentConfig, datasets: Sequence[Histogram]) -> list[str]
         f"master_seed = {cfg.seed}",
         f"mechanisms = {', '.join(cfg.mechanisms)}",
     ]
-    beta = cfg.beta_value
-    t = BucketSpec(w=2.0 * beta, B=float(cfg.bound)).bucket_count
-    lines.append(f"ours: beta = {beta!r}  w = {2.0 * beta!r}  t = {t}")
     n0 = datasets[0].size
+    ours = derive_params(cfg, cfg.eps_grid[0], n0)[0]  # w and t: the same at every eps
+    lines.append(f"ours: beta = {ours.beta!r}  w = {ours.w!r}  t = {ours.t}")
     for eps in cfg.eps_grid:
         q = solve_q(eps, cfg.delta)
         tau = q / n0
         lines.append(f"ours at eps = {eps!r}: q = {q!r}  tau = {tau!r}  "
-                     f"alpha = {tau * t!r}  (dataset 0, n = {n0})")
+                     f"alpha = {tau * ours.t!r}  (dataset 0, n = {n0})")
     return lines
 
 
 # ---------------------------------------------------------------------------
 # CSV
-
-
-def _fmt_eps(eps: float) -> str:
-    return repr(float(eps))
 
 
 def write_csv(rows: Sequence[ResultRow], meta: Sequence[str], out: IO[str]) -> None:
@@ -467,16 +464,9 @@ def write_csv(rows: Sequence[ResultRow], meta: Sequence[str], out: IO[str]) -> N
     out.write(",".join(CSV_COLUMNS) + "\n")
     for row in rows:
         flags = f'"{row.flags}"' if "," in row.flags else row.flags
-        out.write(",".join((
-            row.experiment,
-            row.mechanism,
-            _fmt_eps(row.epsilon),
-            f"{row.mean_err_pct:.6f}",
-            f"{row.mean_flex_err_pct:.6f}",
-            f"{row.stderr_pct:.6f}",
-            str(row.runs),
-            flags,
-        )) + "\n")
+        pcts = (f"{v:.6f}" for v in (row.mean_err_pct, row.mean_flex_err_pct, row.stderr_pct))
+        out.write(",".join((row.experiment, row.mechanism, repr(float(row.epsilon)), *pcts,
+                            str(row.runs), flags)) + "\n")
 
 
 def run_to_csv(cfg: ExperimentConfig, out: IO[str], threads: int = 1) -> list[ResultRow]:

@@ -22,11 +22,13 @@ from fractions import Fraction
 from .audit import AuditInstance, dp_delta_exact, flexible_error, trlap_pmf_factory
 from .bench import (
     DEFAULT_DELTA,
+    DEFAULT_DROP_BUDGET,
     DEFAULT_SANPOINTS_ROUNDS,
     DEFAULT_SEED,
     FLAG_NO_CERT,
     MECHANISMS,
     check_releasable,
+    default_beta,
     derive_mech_params,
     read_config,
     release,
@@ -105,18 +107,18 @@ def _cmd_mech_run(args) -> int:
     print(f"statistic = {kind}")
     print(f"input bars = {len(x)}  elements = {x.size}")
     check_releasable(args.mech, kind)
-    bound = x.space.bound
-    beta = args.beta if args.beta is not None else bound / 20
+    beta = args.beta if args.beta is not None else default_beta(x.space.bound)
     if args.mech != "buckethist":
         _print_release(release(args.mech, kind, x, args.eps, args.delta, beta,
                                DEFAULT_SANPOINTS_ROUNDS, rng)[0])
         return 0
 
     if args.alpha is not None:
-        params = MechParams(alpha=args.alpha, beta=beta, eps=args.eps, B=bound)
+        params = MechParams(alpha=args.alpha, beta=beta, eps=args.eps, B=x.space.bound,
+                            d=x.space.dimension)
         flags = ()
     else:
-        params, flags = derive_mech_params(bound, beta, args.delta, args.eps, x.size)
+        params, flags = derive_mech_params(x.space, beta, args.delta, args.eps, x.size)
     print(f"params: alpha = {params.alpha:.12g}  beta = {params.beta:.12g}"
           f"  w = {params.w:.12g}  t = {params.t}  tau = {params.tau:.12g}")
     for flag in flags:
@@ -313,7 +315,7 @@ def build_parser() -> argparse.ArgumentParser:
     aflex.add_argument("--bound", type=float, default=None)
     aflex.add_argument("--released", required=True,
                        help="released value, or the word 'undefined'")
-    aflex.add_argument("--budget", type=float, default=0.005)
+    aflex.add_argument("--budget", type=float, default=DEFAULT_DROP_BUDGET)
     aflex.add_argument("--limit", type=float, default=None,
                        help="fail (exit 1) if the flexible error exceeds this")
     aflex.set_defaults(func=_cmd_audit_flex)

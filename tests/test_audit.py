@@ -241,6 +241,14 @@ def test_flexible_error_handles_fractional_ground_points():
     assert flexible_error(MODE, x, 2.5, 0.0) == 0.0
 
 
+def test_flexible_error_rejects_an_unscored_statistic_whatever_the_release():
+    # an undefined support release used to score the full range
+    x = Histogram({5: 2}, MetricSpace(1, 100.0))
+    for released in (UNDEFINED, [UNDEFINED], [UNDEFINED, 1.0], 1.0):
+        with pytest.raises(ParameterError, match="no flexible-error scoring for statistic support"):
+            flexible_error(SUPPORT, x, released, 0.1)
+
+
 def test_flexible_error_validation():
     with pytest.raises(DomainError):
         flexible_error(MAX, H({}), 1.0, 0.1)

@@ -4,7 +4,7 @@ import hashlib
 import io
 import math
 import threading
-from dataclasses import replace
+from dataclasses import MISSING, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -47,7 +47,14 @@ from flexhist.hist import (
     maxk,
     parse_statistic,
 )
-from flexhist.mechanisms import UNDEFINED, RngStream, mech_bucket, mech_hbs, split_seed
+from flexhist.mechanisms import (
+    UNDEFINED,
+    BucketSpec,
+    RngStream,
+    mech_bucket,
+    mech_hbs,
+    split_seed,
+)
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -101,6 +108,45 @@ def test_parse_config_full():
     assert cfg.drop_budget == DEFAULT_DROP_BUDGET
     assert cfg.seed == DEFAULT_SEED
     assert cfg.beta is None and cfg.beta_value == 1.0  # bound / 20
+
+
+#: for every ExperimentConfig field, a value other than its default and the
+#: base config's: as a config line writes it, and as the parsed config holds it
+FIELD_SAMPLES = {
+    "experiment": ("other", "other"),
+    "statistic": ("Mode", MODE),
+    "bound": ("50", 50),
+    "generator": ("Poisson", "poisson"),
+    "eps_grid": ("0.5, 2^-2", (0.5, 0.25)),
+    "delta": ("2^-10", 2.0**-10),
+    "datasets": ("4", 4),
+    "runs": ("5", 5),
+    "drop_budget": ("0.01", 0.01),
+    "mechanisms": ("expmech, ptr", ("expmech", "ptr")),
+    "beta": ("2.5", 2.5),
+    "sanpoints_rounds": ("3", 3),
+    "scale": ("1.5", 1.5),
+    "seed": ("7", 7),
+    "median": ("10", 10.0),
+    "cauchy_scale": ("2", 2.0),
+    "items": ("500", 500),
+    "zero_last": ("2", 2),
+    "steps": ("3x2, 1X4", ((3, 2), (1, 4))),
+    "bars": ("12", 12),
+    "poisson_mean": ("9.5", 9.5),
+}
+
+
+@pytest.mark.parametrize("field", fields(ExperimentConfig), ids=lambda f: f.name)
+def test_parse_config_reads_every_field(field):
+    # a field whose type parse_config has no reader for fails here
+    assert list(FIELD_SAMPLES) == [f.name for f in fields(ExperimentConfig)]
+    text, want = FIELD_SAMPLES[field.name]
+    assert want != getattr(parse_config(BASE_CFG), field.name)
+    assert field.default is MISSING or want != field.default
+    kept = [l for l in BASE_CFG.splitlines() if l.split("=")[0].strip() != field.name]
+    cfg = parse_config("\n".join(kept) + f"\n{field.name} = {text}\n")
+    assert getattr(cfg, field.name) == want
 
 
 def test_parse_config_maxk_threshold():
@@ -315,7 +361,7 @@ def test_gen_cauchy_zero_last():
 
 
 def test_derive_mech_params_from_delta():
-    params, flags = derive_mech_params(bound=100, beta=5.0, delta=2.0**-20,
+    params, flags = derive_mech_params(space=MetricSpace(1, 100.0), beta=5.0, delta=2.0**-20,
                                        eps=1.0, n=10_000)
     assert flags == ()
     q = 27.42224479056748  # solve_q(1, 2^-20)
@@ -324,8 +370,18 @@ def test_derive_mech_params_from_delta():
     assert params.beta == 5.0 and params.t == 10
 
 
+def test_derive_mech_params_buckets_the_plane_with_the_diagonal_width():
+    params, flags = derive_mech_params(MetricSpace(2, 8.0), 0.4, 2.0**-20, 1.0, 10_000)
+    assert flags == ()
+    assert params.d == 2 and params.w == 0.8 / math.sqrt(2)
+    assert params.t == 15**2  # ceil(8 / w) cells per axis
+    assert params.alpha == (27.42224479056748 / 10_000) * 225
+    with pytest.raises(DomainError, match="buckethist needs a non-empty histogram"):
+        derive_mech_params(MetricSpace(2, 8.0), 0.4, 2.0**-20, 1.0, 0)
+
+
 def test_derive_mech_params_clamps_and_flags_tiny_inputs():
-    params, flags = derive_mech_params(bound=100, beta=5.0, delta=2.0**-20,
+    params, flags = derive_mech_params(space=MetricSpace(1, 100.0), beta=5.0, delta=2.0**-20,
                                        eps=1.0, n=100)
     assert flags == (FLAG_NO_CERT,)
     assert params.alpha == math.nextafter(1.0, 0.0)
@@ -528,7 +584,7 @@ def test_releases_table_and_check_releasable():
 def test_release_returns_what_each_mechanism_returns():
     x = Histogram({3: 500, 7: 300, 12: 40, 15: 2}, MetricSpace(1, 20.0))
     eps, delta, beta, rounds = 1.0, DEFAULT_DELTA, 1.0, 3
-    params, flags = derive_mech_params(20.0, beta, delta, eps, x.size)
+    params, flags = derive_mech_params(x.space, beta, delta, eps, x.size)
     assert flags == ()
     own = {
         "buckethist": lambda kind, rng: (mech_hbs(kind, x, params, rng), ()),
@@ -551,6 +607,16 @@ def test_release_returns_what_each_mechanism_returns():
         FLAG_NO_CERT,)
     with pytest.raises(ParameterError, match="unknown mechanism 'nope'"):
         release("nope", MAX, x, eps, delta, beta, rounds, RngStream(0))
+
+
+def test_release_buckethist_support_in_the_plane():
+    # the release used to bucket at the 1-D width and fail on the dimension
+    x = Histogram({(0, 0): 5, (0.3, 0.2): 4, (7, 7): 6}, MetricSpace(2, 8.0))
+    value, flags = release("buckethist", SUPPORT, x, 1.0, DEFAULT_DELTA, 0.4, 3, RngStream(0))
+    assert flags == (FLAG_NO_CERT,)  # 15 elements derive alpha >= 1
+    spec = BucketSpec(w=0.8 / math.sqrt(2), B=8.0, d=2)
+    assert value == frozenset({spec.center((0, 0)), spec.center((7, 7))})
+    assert value == mech_bucket(x, spec).support()  # the noise drops < 1/2 per cell
 
 
 def test_release_calls_each_mechanism_through_its_module_global(monkeypatch):

@@ -186,6 +186,34 @@ def test_mech_run_buckethist_support_statistic(tmp_path, capsys):
     assert "CERT dp unavailable:" in out  # tau = 0 certifies nothing
 
 
+@pytest.mark.parametrize("alpha", [[], ["--alpha", "0.3"]])
+def test_mech_run_buckethist_two_dimensional_support(tmp_path, capsys, alpha):
+    # B = 8 and beta = 8/20: w = 0.8/sqrt(2) and t = ceil(8/w)^2 = 15^2; the run used
+    # to print t = 10 (the 1-D count) and then fail on the bucket dimension
+    path = tmp_path / "plane.txt"
+    path.write_text("1,2 1\n4,5 1\n7,7 1\n")
+    assert main(["mech", "run", "--mech", "buckethist", "--stat", "support",
+                 "--input", str(path), "--eps", "1"] + alpha) == 0
+    lines = capsys.readouterr().out.splitlines()
+    params = next(l for l in lines if l.startswith("params:"))
+    assert "  w = 0.565685424949  t = 225  " in params
+    released = next(l for l in lines if l.startswith("released = "))
+    assert released.count("(") == 3  # one cell centre per point: cells are narrower than 3
+    if not alpha:  # 3 elements derive alpha >= 1
+        assert "flag: cert unavailable" in lines
+
+
+def test_mech_run_buckethist_rejects_an_empty_input(tmp_path, capsys):
+    # the parameter derivation divided by |x| = 0: a ZeroDivisionError traceback, exit 1
+    path = tmp_path / "empty.txt"
+    path.write_text("0 0\n")
+    assert main(["mech", "run", "--mech", "buckethist", "--stat", "max",
+                 "--input", str(path), "--eps", "1"]) == 2
+    captured = capsys.readouterr()
+    assert "released" not in captured.out
+    assert captured.err == "error: buckethist needs a non-empty histogram\n"
+
+
 @pytest.mark.parametrize("option, value", [("--alpha", "0.3"), ("--beta", "7")])
 @pytest.mark.parametrize("mech", ["expmech", "sanpoints"])
 def test_mech_run_rejects_buckethist_options_for_other_mechanisms(hist_file, capsys, mech,
@@ -430,6 +458,18 @@ def test_audit_flex_undefined_release_checks_the_budget(flex_file, capsys, budge
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "error: drop budget must be in [0,1)" in captured.err
+
+
+def test_audit_flex_rejects_support_even_when_undefined(tmp_path, capsys):
+    # an undefined support release used to print flexible_error=100 and exit 0
+    path = tmp_path / "five.txt"
+    path.write_text("5 2\n")
+    for released in ("undefined", "5"):
+        assert main(["audit", "flex", "--stat", "support", "--input", str(path),
+                     "--bound", "100", "--released", released]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "error: no flexible-error scoring for statistic support" in captured.err
 
 
 # ---------------------------------------------------------------------------
