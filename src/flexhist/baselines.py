@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache
+from typing import Sequence
 
 import numpy as np
 
@@ -265,32 +266,65 @@ def bns_hist(x: Histogram, eps: float, delta: float, rng: mechanisms.RngStream) 
 
 
 def sanpoints(x: Histogram, eps: float, delta: float, k_rounds: int,
-              rng: mechanisms.RngStream) -> Histogram:
+              rng: mechanisms.RngStream | Sequence[mechanisms.RngStream]
+              ) -> Histogram | list[Histogram]:
     """k_rounds iterations of: pick a remaining bar with weight
     exp(eps' * height / 2) (eps' = eps/(2*k_rounds), height sensitivity 1)
     without replacement, then report its height plus Laplace(2*k_rounds/eps),
     clamped at zero and rounded.  Unchosen bars are reported as zero.
 
+    ``rng`` is one stream, or a sequence of streams: then the result is a
+    list, one release per stream, each what that stream alone releases.
+    Every round, each stream draws random() for its pick and then its noise.
+
     This follows a prose sketch only; treat its benchmark rows as an
     approximate reproduction.
     """
     del delta  # budget is pure eps: half selection, half noise
+    one = isinstance(rng, np.random.Generator)
+    streams = [rng] if one else list(rng)
     if k_rounds < 1:
         raise ParameterError("k_rounds must be >= 1")
     if len(x) == 0:
-        return x
-    if k_rounds > len(x):
+        released = [x] * len(streams)
+    elif k_rounds > len(x):
         raise ParameterError(f"k_rounds = {k_rounds} exceeds {len(x)} occupied bars")
+    else:
+        # rint: half to even, as round, and inf stays inf
+        released = [x.with_counts(row)
+                    for row in np.rint(_sanpoints_rows(x, eps, k_rounds, streams))]
+    return released[0] if one else released
+
+
+def _sanpoints_rows(x: Histogram, eps: float, k_rounds: int,
+                    streams: list[mechanisms.RngStream]) -> np.ndarray:
+    """sanpoints' reported heights, unrounded: one row per stream, one column
+    per bar of x.
+
+    Every array operation covers all the streams at once, one row each, and
+    gives each row the bits a single stream's 1-D arrays get: sums and
+    cumulative sums run along the rows.
+    """
     heights = x.bars()[1].astype(float)
-    left = np.arange(len(heights))  # bars not yet chosen, in point order
+    rows = np.arange(len(streams))
+    # per stream, the bars not yet chosen, in point order
+    left = np.tile(np.arange(len(heights)), (len(streams), 1))
     eps_round = eps / (2.0 * k_rounds)
-    out = np.zeros(len(heights))  # unchosen bars, and chosen ones rounding to <= 0, drop out
+    scale = 2.0 * k_rounds / eps  # a Python float: inf, with no warning, at eps = 1e-310
+    out = np.zeros(left.shape)  # unchosen bars, and chosen ones rounding to <= 0, drop out
     for _ in range(k_rounds):
         h = heights[left]
-        j = rng.choice_weighted(np.exp(eps_round * (h - h.max()) / 2.0))
-        i, left = left[j], np.delete(left, j)
-        out[i] = heights[i] + rng.laplace(scale=2.0 * k_rounds / eps)
-    return x.with_counts(np.rint(out))  # rint: half to even, as round, and inf stays inf
+        w = np.exp(eps_round * (h - h.max(axis=1, keepdims=True)) / 2.0)
+        c = np.add.accumulate(w / w.sum(axis=1, keepdims=True), axis=1)  # cumsum
+        # a draw at or past c[t, -1], which rounding can leave below 1, picks
+        # the last bar with weight, the first where c reaches c[t, -1]: so
+        # every draw is capped at the float just below c[t, -1]
+        u = np.minimum([s.random() for s in streams], np.nextafter(c[:, -1], 0.0))
+        j = (c <= u[:, None]).sum(axis=1)  # searchsorted(c[t], u[t], side="right")
+        i = left[rows, j]
+        left = left[left != i[:, None]].reshape(len(streams), left.shape[1] - 1)
+        out[rows, i] = heights[i] + np.array([s.laplace(scale=scale) for s in streams])
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -304,7 +338,12 @@ def bns_mech(kind: StatisticKind, x: Histogram, eps: float, delta: float,
 
 
 def sanpoints_mech(kind: StatisticKind, x: Histogram, eps: float, delta: float,
-                   rng: mechanisms.RngStream, k_rounds: int = 8):
+                   rng: mechanisms.RngStream | Sequence[mechanisms.RngStream],
+                   k_rounds: int = 8):
+    """The statistic of sanpoints' release; for a sequence of streams, a
+    list with one statistic per stream."""
     require_1d_statistic(kind, x)
     released = sanpoints(x, eps, delta, min(k_rounds, max(1, len(x))), rng)
-    return statistic_or_undefined(kind, released)
+    if isinstance(released, Histogram):
+        return statistic_or_undefined(kind, released)
+    return [statistic_or_undefined(kind, y) for y in released]

@@ -9,10 +9,11 @@ flexible error as percentages of the range [0, B).
 Determinism contract: identical config + master seed give a byte-identical
 CSV.  Every (dataset, run, mechanism, epsilon) task derives its own stream
 seed via split_seed (computed for the whole grid at once, bit for bit the
-same), one RngStream re-seeded in place draws each task's stream, and the
-runner visits the tasks, and aggregates their results, in fixed index order.
-The runner is serial: each task is a chain of small numpy calls that hold
-the GIL, so worker threads would only contend for it.
+same).  The runner keeps one RngStream per run, re-seeded in place for each
+task; on each dataset it makes one ``release`` call per (mechanism,
+epsilon) with the streams of all the runs, and it aggregates the results in
+fixed index order.  The runner is serial: each release is a chain of small
+numpy calls that hold the GIL, so worker threads would only contend for it.
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ from .audit import check_scored, flexible_error
 from .baselines import bns_mech, exp_mech, ptr_mech, sanpoints_mech, ss_mech
 from .certificates import solve_q
 from .hist import (
+    STATISTICS,
     DomainError,
     Histogram,
     MetricSpace,
@@ -56,8 +58,8 @@ DEFAULT_SANPOINTS_ROUNDS = 8
 FLAG_APPROX = "approximate reproduction"
 FLAG_NO_CERT = "cert unavailable"
 
-_NUMERIC = frozenset({"max", "min", "maxk", "mode"})
-_ANY = _NUMERIC | {"support"}
+_ANY = frozenset(STATISTICS)
+_NUMERIC = _ANY - {"support"}
 _STABLE = frozenset({"max", "maxk", "mode"})  # PTR radii, smooth sensitivities
 
 #: the statistics each mechanism can release; ``release`` runs them
@@ -344,28 +346,40 @@ def derive_params(cfg: ExperimentConfig, eps: float, n: int) -> tuple[MechParams
 
 
 def release(name: str, kind: StatisticKind, x: Histogram, eps: float, delta: float,
-            beta: float, rounds: int, rng: mechanisms.RngStream):
-    """Run mechanism ``name`` once on x; returns (released value, row flags).
+            beta: float, rounds: int,
+            rng: mechanisms.RngStream | Sequence[mechanisms.RngStream]):
+    """Run mechanism ``name`` on x; returns (released value, row flags).
+
+    ``rng`` is one stream, or a sequence of streams: then the result is a
+    list with one (value, flags) per stream, each what release with that
+    stream alone returns.  sanpoints releases for all the streams in one
+    call; the other mechanisms are called once per stream.
 
     Each mechanism is called by its name in this module's globals, so a
     wrapper installed over that name sees every call.  buckethist derives
     its parameters from x's space and size (its flags say whether a
     certificate covers them); ``rounds`` is sanpoints' round count.
     """
+    one = isinstance(rng, np.random.Generator)
+    streams = [rng] if one else rng
+    flags: tuple[str, ...] = ()
     if name == "buckethist":
         params, flags = derive_mech_params(x.space, beta, delta, eps, x.size)
-        return mech_hbs(kind, x, params, rng), flags
-    if name == "expmech":
-        return exp_mech(kind, x, eps, rng), ()
-    if name == "ptr":
-        return ptr_mech(kind, x, eps, delta, rng), ()
-    if name == "smoothsens":
-        return ss_mech(kind, x, eps, delta, rng), ()
-    if name == "bnshist":
-        return bns_mech(kind, x, eps, delta, rng), ()
-    if name == "sanpoints":
-        return sanpoints_mech(kind, x, eps, delta, rng, k_rounds=rounds), (FLAG_APPROX,)
-    raise ParameterError(f"unknown mechanism {name!r}")
+        values = [mech_hbs(kind, x, params, s) for s in streams]
+    elif name == "expmech":
+        values = [exp_mech(kind, x, eps, s) for s in streams]
+    elif name == "ptr":
+        values = [ptr_mech(kind, x, eps, delta, s) for s in streams]
+    elif name == "smoothsens":
+        values = [ss_mech(kind, x, eps, delta, s) for s in streams]
+    elif name == "bnshist":
+        values = [bns_mech(kind, x, eps, delta, s) for s in streams]
+    elif name == "sanpoints":
+        values = sanpoints_mech(kind, x, eps, delta, streams, k_rounds=rounds)
+        flags = (FLAG_APPROX,)
+    else:
+        raise ParameterError(f"unknown mechanism {name!r}")
+    return (values[0], flags) if one else [(v, flags) for v in values]
 
 
 def run_experiment(cfg: ExperimentConfig, threads: int = 1
@@ -389,30 +403,36 @@ def run_experiment(cfg: ExperimentConfig, threads: int = 1
             raise DomainError(f"dataset {d}: statistic undefined on the raw "
                               f"input, nothing to score against") from exc
 
-    # one pass seeds every (dataset, run, mechanism, eps) stream; cell
-    # i = d * runs + r holds the tasks of run r on dataset d
+    # one pass seeds every (dataset, run, mechanism, eps) stream; words[d][t]
+    # holds task t's seeds for the runs on dataset d, in run order
     total = cfg.datasets * cfg.runs
-    grid = (cfg.datasets, cfg.runs, len(cfg.mechanisms), len(cfg.eps_grid))
-    words = seed_sequence_words(split_seed_grid(cfg.seed, (), grid).reshape(total, -1)).tolist()
     tasks = list(itertools.product(cfg.mechanisms, cfg.eps_grid))
-    # one contiguous row per (mechanism, eps), its cells in index order:
-    # determinism; both errors are capped at the range
+    grid = (cfg.datasets, cfg.runs, len(cfg.mechanisms), len(cfg.eps_grid))
+    seeds = split_seed_grid(cfg.seed, (), grid).transpose(0, 2, 3, 1)
+    words = seed_sequence_words(seeds.reshape(cfg.datasets, len(tasks), cfg.runs)).tolist()
+    # one contiguous row per (mechanism, eps), cell i = d * runs + r holding
+    # run r on dataset d: determinism; both errors are capped at the range
     plains = np.empty((len(tasks), total))
     flexes = np.empty((len(tasks), total))
     flags: list[set[str]] = [set() for _ in tasks]
     bound = float(cfg.bound)
-    stream = mechanisms.RngStream(0)
-    for i in range(total):
-        x, truth = datasets[i // cfg.runs], truths[i // cfg.runs]
-        released = []
-        for t, ((name, eps), row) in enumerate(zip(tasks, words[i])):
-            value, row_flags = release(name, cfg.statistic, x, eps, cfg.delta, cfg.beta_value,
-                                       cfg.sanpoints_rounds, stream.restate(row))
-            released.append(value)
-            plains[t, i] = bound if value is UNDEFINED else min(abs(float(value) - truth), bound)
-            flags[t].update(row_flags)
-        flexes[:, i] = np.minimum(flexible_error(cfg.statistic, x, released, cfg.drop_budget),
-                                  bound)
+    streams = [mechanisms.RngStream(0) for _ in range(cfg.runs)]  # one per run, re-seeded
+    for d, (x, truth) in enumerate(zip(datasets, truths)):
+        released = []  # one row per task, one value per run
+        for t, (name, eps) in enumerate(tasks):
+            batch = release(name, cfg.statistic, x, eps, cfg.delta, cfg.beta_value,
+                            cfg.sanpoints_rounds,
+                            [s.restate(row) for s, row in zip(streams, words[d][t])])
+            values = [value for value, _ in batch]
+            released.append(values)
+            plains[t, d * cfg.runs:(d + 1) * cfg.runs] = [
+                bound if value is UNDEFINED else min(abs(float(value) - truth), bound)
+                for value in values]
+            for _, row_flags in batch:
+                flags[t].update(row_flags)
+        for r, values in enumerate(zip(*released)):  # one cell: run r's values, task order
+            flexes[:, d * cfg.runs + r] = np.minimum(
+                flexible_error(cfg.statistic, x, list(values), cfg.drop_budget), bound)
 
     pct = 100.0 / cfg.bound
     rows: list[ResultRow] = []

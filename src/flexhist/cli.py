@@ -49,6 +49,7 @@ from .hist import (
     check_points,
     parse_statistic,
     read_histogram,
+    require_1d_statistic,
 )
 from .mechanisms import UNDEFINED, MechParams, RngStream, mech_hbs
 from .transport import DiscreteDistribution, winf_lossy
@@ -102,11 +103,12 @@ def _cmd_mech_run(args) -> int:
         raise ParameterError("--bound must be finite and positive")
     kind = _statistic(args)
     x = _read_input_histogram(args)
+    check_releasable(args.mech, kind)  # before the first line of output
+    require_1d_statistic(kind, x)
     rng = RngStream(args.seed)
     print(f"mechanism = {args.mech}")
     print(f"statistic = {kind}")
     print(f"input bars = {len(x)}  elements = {x.size}")
-    check_releasable(args.mech, kind)
     beta = args.beta if args.beta is not None else default_beta(x.space.bound)
     if args.mech != "buckethist":
         _print_release(release(args.mech, kind, x, args.eps, args.delta, beta,

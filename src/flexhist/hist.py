@@ -124,7 +124,7 @@ class Histogram:
         if not np.isfinite(points).all():
             raise DomainError(f"non-finite coordinate in point"
                               f" {points[np.argmin(np.isfinite(points))].item()!r}")
-        size = _checked_size(counts.tolist())  # before the merge below can wrap
+        size = _checked_size(counts)  # before the merge below can wrap
         order = np.argsort(points, kind="stable")
         points, counts = points[order], counts[order]
         first = np.ones(points.size, dtype=bool)  # equal points merge
@@ -188,13 +188,14 @@ class Histogram:
         points, counts = self.bars()[0], np.asarray(counts)
         keep = np.flatnonzero(counts > 0)
         kept = counts[keep]
-        # a float at or past 2^63, inf too, has no int64 to cast to; int64 counts fit
-        if kept.dtype.kind == "f" and (kept >= 2.0**63).any():
-            raise DomainError(f"count {float(kept.max())!r} does not fit int64")
+        # a float at or past 2^63, inf too, or a uint64 past int64 has no int64
+        # to cast to; int64 counts fit
+        if kept.dtype.kind in "fu" and (kept >= 2**63).any():
+            raise DomainError(f"count {kept.max().item()!r} does not fit int64")
         kept = kept.astype(np.int64)
         if keep.size < len(points):
             points = tuple([points[i] for i in keep.tolist()])
-        size = _checked_size(kept.tolist())
+        size = _checked_size(kept)
         return object.__new__(Histogram)._fill(points, kept, size, self.space)
 
     def __len__(self) -> int:
@@ -219,7 +220,17 @@ class Histogram:
         return f"Histogram({{{inner}}}, size={self.size})"
 
 
-def _checked_size(counts: Iterable[int]) -> int:
+def _checked_size(counts: np.ndarray | Iterable[int]) -> int:
+    """The exact sum of non-negative counts, which must stay below 2^63.
+
+    An int64 array of n counts, none above (2^63 - 1) // n, sums in int64
+    without wrapping; any other array is summed as Python ints.
+    """
+    if isinstance(counts, np.ndarray):
+        if counts.dtype == np.int64 and (counts.size == 0
+                                         or counts.max() <= (2**63 - 1) // counts.size):
+            return int(counts.sum())
+        counts = counts.tolist()
     size = sum(counts)
     if size >= 2**63:  # sums of counts are int64 too
         raise DomainError(f"{size} elements in one histogram, the limit is 2^63 - 1")
@@ -275,6 +286,10 @@ def dsupp(s1: Iterable[PointLike], s2: Iterable[PointLike],
 # statistics
 
 
+#: the statistic names StatisticKind accepts
+STATISTICS = ("max", "min", "maxk", "mode", "support")
+
+
 @dataclass(frozen=True)
 class StatisticKind:
     """One of max / min / maxk / mode / support; maxk carries its threshold k."""
@@ -282,10 +297,8 @@ class StatisticKind:
     name: str
     k: int | None = None
 
-    _VALID = ("max", "min", "maxk", "mode", "support")
-
     def __post_init__(self) -> None:
-        if self.name not in self._VALID:
+        if self.name not in STATISTICS:
             raise ParameterError(f"unknown statistic {self.name!r}")
         if self.name == "maxk":
             if self.k is None or self.k < 1:

@@ -15,11 +15,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from flexhist.audit import _reachable
-from flexhist.baselines import bns_hist, sanpoints
+from flexhist.baselines import bns_hist, sanpoints, sanpoints_mech
 from flexhist.hist import (
     MAX,
     MIN,
     MODE,
+    SUPPORT,
     DomainError,
     Histogram,
     MetricSpace,
@@ -28,7 +29,7 @@ from flexhist.hist import (
     eval_statistic,
     maxk,
 )
-from flexhist.mechanisms import RngStream, mech_trlap, trlap_sample
+from flexhist.mechanisms import UNDEFINED, RngStream, mech_trlap, trlap_sample
 
 SPACE = MetricSpace(1, 64.0)
 PLANE = MetricSpace(2, 8.0)
@@ -237,6 +238,89 @@ def test_sanpoints_matches_reference_on_3000_bars(seed, eps):
     rng_new, rng_old = RngStream(seed), RngStream(seed)
     assert_same(sanpoints(x, eps, 2.0**-20, 8, rng_new), _sanpoints(x, eps, 2.0**-20, 8, rng_old))
     assert_same_stream_position(rng_new, rng_old)
+
+
+# ---------------------------------------------------------------------------
+# sanpoints over a batch of streams against one stream at a time
+
+
+def _streams(plan):
+    """One stream per (seed, draws) pair, each after ``draws`` draws; an odd
+    count also leaves half of a 64-bit draw buffered."""
+    streams = []
+    for seed, draws in plan:
+        rng = RngStream(seed)
+        rng.random(draws)
+        if draws % 2:
+            rng.integers(0, 1000, dtype=np.int32)
+        streams.append(rng)
+    return streams
+
+
+stream_plans = st.lists(st.tuples(seeds, st.integers(0, 5)), min_size=1, max_size=6)
+
+
+def _check_batch(x, eps, k_rounds, plan):
+    batch, alone, ref = _streams(plan), _streams(plan), _streams(plan)
+    got = sanpoints(x, eps, 2.0**-20, k_rounds, batch)
+    assert isinstance(got, list) and len(got) == len(plan)
+    for y, rng_alone, rng_ref in zip(got, alone, ref):
+        assert_same(y, sanpoints(x, eps, 2.0**-20, k_rounds, rng_alone))
+        assert_same(y, _sanpoints(x, eps, 2.0**-20, k_rounds, rng_ref))
+    for rng_batch, rng_alone in zip(batch, alone):
+        assert_same_stream_position(rng_batch, rng_alone)
+
+
+@settings(max_examples=150, deadline=None)
+@given(line_hists, epsilons, st.integers(1, 24), stream_plans)
+def test_batched_sanpoints_matches_one_stream_at_a_time(x, eps, k_rounds, plan):
+    _check_batch(x, eps, min(k_rounds, max(1, len(x))), plan)
+
+
+@settings(max_examples=100, deadline=None)
+@given(KINDS | st.just(SUPPORT), line_hists, epsilons, st.integers(1, 24), stream_plans)
+def test_batched_sanpoints_mech_matches_one_stream_at_a_time(kind, x, eps, k_rounds, plan):
+    batch, alone = _streams(plan), _streams(plan)
+    got = sanpoints_mech(kind, x, eps, 2.0**-20, batch, k_rounds=k_rounds)
+    assert got == [sanpoints_mech(kind, x, eps, 2.0**-20, rng, k_rounds=k_rounds)
+                   for rng in alone]
+    for rng_batch, rng_alone in zip(batch, alone):
+        assert_same_stream_position(rng_batch, rng_alone)
+
+
+@pytest.mark.parametrize("plan", [[(5, 0)], [(5, 0), (6, 3), (2**64 - 1, 1)]])
+def test_batched_sanpoints_edges(plan):
+    x = Histogram({1: 40, 7.5: 3, 20: 17, 33: 40}, SPACE)
+    _check_batch(x, 0.7, len(x), plan)  # every bar picked
+    _check_batch(x, 1e300, 2, plan)     # no noise to speak of
+    empty = Histogram({}, SPACE)
+    assert sanpoints(empty, 1.0, 2.0**-20, 3, _streams(plan)) == [empty] * len(plan)
+    assert sanpoints_mech(MAX, empty, 1.0, 2.0**-20, _streams(plan)) == [UNDEFINED] * len(plan)
+    assert sanpoints(x, 1.0, 2.0**-20, 2, []) == []
+    for eps in (1e-300, 1e-310):  # noise past int64; an infinite scale at 1e-310
+        with pytest.raises(DomainError, match="does not fit int64"):
+            sanpoints(x, eps, 2.0**-20, 3, _streams(plan))
+
+
+def test_batched_sanpoints_pick_past_the_last_cumulative_weight():
+    # at eps' = 40 the weights cumulate to 1 - 2^-52, and the last one is 0:
+    # a draw of 1 - 2^-53 lies past every sum, and the pick falls back to
+    # the first bar where the sums reach their end, bar 2
+    class TopDraw(RngStream):
+        def random(self, *args, **kwargs):
+            return 1.0 - 2.0**-53 if not args and not kwargs else super().random(*args, **kwargs)
+
+    x = Histogram({0: 38, 1: 39, 2: 38, 3: 1}, SPACE)
+    h = x.bars()[1].astype(float)
+    w = np.exp(40.0 * (h - h.max()) / 2.0)
+    c = np.cumsum(w / w.sum())
+    assert c[-1] < 1.0 - 2.0**-53 and w[-1] == 0 and c[2] == c[-1]
+    got = sanpoints(x, 80.0, 2.0**-20, 1, [RngStream(4), TopDraw(5), RngStream(6)])
+    assert dict(got[1].items()) == {(2,): 38}
+    assert_same(got[1], _sanpoints(x, 80.0, 2.0**-20, 1, TopDraw(5)))
+    assert_same(got[1], sanpoints(x, 80.0, 2.0**-20, 1, TopDraw(5)))
+    for y, seed in zip(got[::2], (4, 6)):
+        assert_same(y, _sanpoints(x, 80.0, 2.0**-20, 1, RngStream(seed)))
 
 
 # ---------------------------------------------------------------------------

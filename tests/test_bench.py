@@ -38,6 +38,7 @@ from flexhist.hist import (
     MAX,
     MIN,
     MODE,
+    STATISTICS,
     SUPPORT,
     DomainError,
     Histogram,
@@ -66,6 +67,17 @@ GOLDEN_CSV_SHA256 = {
     "exp4": "3be4b5b3f3e74976096bf3b4aab802226c01bcb048b71ca4f3564f0cb136208f",
     "exp5": "38b6b3ae3a94727aa3a419dd681428e362b6146a170344fc7d8da8f325b08736",
     "exp6": "82bca0b54b5c54d5daf8f70da3810d4e2b9458159c5589f50026053f525f2878",
+}
+
+# the same at each config's shipped size (datasets = runs = 10), where
+# sanpoints releases for ten streams at once
+GOLDEN_FULL_CSV_SHA256 = {
+    "exp1": "f4a9113664ec85c67eedbaaf486a1438c078e743f8f4df70539830a731c12fcb",
+    "exp2": "bc6a88d7f43d4798f73851c2815e696f964a238804450f8a00c4719f69da8d74",
+    "exp3": "585bdf165e85f0a9d74f624b369cab4f1fa82fb1cc95d660727174796b24ab07",
+    "exp4": "3271a1fb076e680bf31cb035a119c39186be0f2002c722337952f4b4bf26434c",
+    "exp5": "4abf88ef6450723adaea54aaa6a15dc052b92d2e152685e3f9b1cb4dfc46995b",
+    "exp6": "cb7a9ac17737ea60d7e670efaead4ef482cc0385b4495bd7277d8ac79a00e22b",
 }
 
 # the same at the shape of the large-hist benchmark: 3,000 Poisson(3000) bars,
@@ -430,8 +442,9 @@ def test_run_experiment_releases_on_the_calling_thread(monkeypatch, threads):
     monkeypatch.setattr(bench, "release", recorded)
     cfg = parse_config(BASE_CFG)
     run_experiment(cfg, threads=threads)
-    tasks = cfg.datasets * cfg.runs * len(cfg.mechanisms) * len(cfg.eps_grid)
-    assert idents == [threading.get_ident()] * tasks
+    # one call per (dataset, mechanism, eps), with the streams of all the runs
+    calls = cfg.datasets * len(cfg.mechanisms) * len(cfg.eps_grid)
+    assert idents == [threading.get_ident()] * calls
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN_CSV_SHA256))
@@ -485,6 +498,17 @@ def test_run_to_csv_golden_bytes(name):
     assert digest == GOLDEN_CSV_SHA256[name]
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("name", sorted(GOLDEN_FULL_CSV_SHA256))
+def test_run_to_csv_golden_bytes_at_the_shipped_size(name):
+    cfg = read_config(str(CONFIGS / f"{name}.cfg"))
+    assert (cfg.datasets, cfg.runs) == (10, 10)
+    buf = io.StringIO()
+    run_to_csv(cfg, buf)
+    digest = hashlib.sha256(buf.getvalue().encode("utf-8")).hexdigest()
+    assert digest == GOLDEN_FULL_CSV_SHA256[name]
+
+
 @pytest.mark.parametrize("threads", [1, 2])
 @pytest.mark.parametrize("stat", sorted(GOLDEN_LARGE_CSV_SHA256))
 def test_run_to_csv_golden_bytes_on_3000_bars(stat, threads):
@@ -523,6 +547,28 @@ def test_run_experiment_scores_each_cell_through_the_traced_name(monkeypatch):
     cfg = parse_config(BASE_CFG)
     run_experiment(cfg, threads=2)
     assert calls == [len(cfg.mechanisms) * len(cfg.eps_grid)] * (cfg.datasets * cfg.runs)
+
+
+def test_run_experiment_releases_sanpoints_once_per_dataset_and_eps(monkeypatch):
+    # perfbench traces baselines.sanpoints_mech by wrapping bench.sanpoints_mech
+    assert bench.sanpoints_mech is sanpoints_mech
+    batches, cells = [], []
+
+    def batched(kind, x, eps, delta, rng, k_rounds):
+        batches.append((x, eps, len(rng)))
+        return sanpoints_mech(kind, x, eps, delta, rng, k_rounds=k_rounds)
+
+    def scored(kind, x, released, budget):
+        cells.append(len(released))
+        return flexible_error(kind, x, released, budget)
+
+    monkeypatch.setattr(bench, "sanpoints_mech", batched)
+    monkeypatch.setattr(bench, "flexible_error", scored)
+    cfg = replace(parse_config(BASE_CFG), mechanisms=("sanpoints", "buckethist"))
+    run_experiment(cfg)
+    datasets = [gen_dataset(cfg, RngStream(split_seed(cfg.seed, d))) for d in range(cfg.datasets)]
+    assert batches == [(x, eps, cfg.runs) for x in datasets for eps in cfg.eps_grid]
+    assert cells == [len(cfg.mechanisms) * len(cfg.eps_grid)] * (cfg.datasets * cfg.runs)
 
 
 @pytest.mark.parametrize("name, distinct", [("exp1", 10), ("exp2", 1)])
@@ -572,6 +618,7 @@ def test_releases_table_and_check_releasable():
         "ptr": ["max", "maxk", "mode"], "smoothsens": ["max", "maxk", "mode"],
         "bnshist": numeric + ["support"], "sanpoints": numeric + ["support"]}
     assert MECHANISMS == tuple(RELEASES) == tuple(RUNS)
+    assert RELEASES["buckethist"] == frozenset(STATISTICS)  # hist owns the names
     for name in MECHANISMS:
         for stat, kind in KIND_OF.items():
             if stat in RELEASES[name]:
@@ -602,6 +649,11 @@ def test_release_returns_what_each_mechanism_returns():
                 kind = KIND_OF[stat]
                 got = release(name, kind, x, eps, delta, beta, rounds, RngStream(seed))
                 assert got == own[name](kind, RngStream(seed)), (name, stat, seed)
+            # a sequence of streams: one result per stream, each as if alone
+            kind, seeds = KIND_OF[stat], (1, 2, 2**64 - 1)
+            got = release(name, kind, x, eps, delta, beta, rounds,
+                          [RngStream(seed) for seed in seeds])
+            assert got == [own[name](kind, RngStream(seed)) for seed in seeds], (name, stat)
     tiny = Histogram({3: 2, 7: 1}, MetricSpace(1, 20.0))  # derives alpha >= 1
     assert release("buckethist", MAX, tiny, eps, delta, beta, rounds, RngStream(0))[1] == (
         FLAG_NO_CERT,)
@@ -631,3 +683,6 @@ def test_release_calls_each_mechanism_through_its_module_global(monkeypatch):
         calls.clear()
         release(name, MAX, x, 1.0, DEFAULT_DELTA, 1.0, 3, RngStream(0))
         assert calls == [fn], name
+        calls.clear()  # sanpoints takes all the streams at once, the others one each
+        release(name, MAX, x, 1.0, DEFAULT_DELTA, 1.0, 3, [RngStream(0), RngStream(1)])
+        assert calls == [fn] * (1 if name == "sanpoints" else 2), name

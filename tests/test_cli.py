@@ -225,6 +225,22 @@ def test_mech_run_rejects_buckethist_options_for_other_mechanisms(hist_file, cap
     assert f"error: {option} applies to --mech buckethist only" in captured.err
 
 
+@pytest.mark.parametrize("mech, stat, error", [
+    ("buckethist", "max", "max is defined on 1-D histograms only"),
+    ("sanpoints", "mode", "mode is defined on 1-D histograms only"),
+    ("expmech", "support", "expmech cannot release statistic support"),
+])
+def test_mech_run_rejects_before_printing(tmp_path, capsys, mech, stat, error):
+    # buckethist printed its params: and flag: lines before failing
+    path = tmp_path / "plane.txt"
+    path.write_text("1,9 2\n5,0 1\n")
+    assert main(["mech", "run", "--mech", mech, "--stat", stat, "--input", str(path),
+                 "--eps", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert error in captured.err
+
+
 def test_mech_run_each_baseline(hist_file, capsys):
     for mech in ("expmech", "ptr", "smoothsens", "bnshist", "sanpoints"):
         assert main(["mech", "run", "--mech", mech, "--stat", "max",

@@ -106,6 +106,45 @@ def test_histogram_rejects_bad_counts():
     assert H({0: 2**63 - 1}).bars()[1].tolist() == [2**63 - 1]
 
 
+# n int64 counts of at most (2^63 - 1) // n each are summed in int64; larger
+# ones as Python ints.  Every total sits within 3 of 2^63.
+LIMIT_2, LIMIT_3 = (2**63 - 1) // 2, (2**63 - 1) // 3
+SIZES_AT_THE_LIMIT = [
+    [2**63 - 1],                           # int64 sum: n = 1
+    [LIMIT_2, LIMIT_2],                    # int64 sum: every count at the limit
+    [LIMIT_3, LIMIT_3, LIMIT_3],
+    [LIMIT_2 + 1, LIMIT_2],                # exact sum: a count past the limit
+    [LIMIT_2 + 1, LIMIT_2 + 1],            # exact sum, reaching 2^63
+    [LIMIT_3 + 1, LIMIT_3 + 1, LIMIT_3 + 1],
+    [LIMIT_2 + 1, LIMIT_2, 1],
+]
+
+
+@pytest.mark.parametrize("counts", SIZES_AT_THE_LIMIT)
+def test_size_at_2_63_from_int64_arrays(counts):
+    size = sum(counts)
+    assert abs(size - 2**63) <= 3
+    points = np.arange(len(counts))
+    counts = np.array(counts, dtype=np.int64)
+    ones = H({int(g): 1 for g in points})
+    if size < 2**63:
+        assert H((points, counts)).size == size
+        assert ones.with_counts(counts).size == size
+        return
+    with pytest.raises(DomainError, match="limit is 2\\^63 - 1"):
+        H((points, counts))
+    with pytest.raises(DomainError, match="limit is 2\\^63 - 1"):
+        ones.with_counts(counts)
+
+
+def test_with_counts_rejects_uint64_counts_past_int64():
+    # the int64 cast used to wrap 2^63 to -2^63 and give a negative size
+    x = H({1: 3, 4: 2})
+    with pytest.raises(DomainError, match="count 9223372036854775808 does not fit int64"):
+        x.with_counts(np.array([2**63, 1], dtype=np.uint64))
+    assert x.with_counts(np.array([2**63 - 1, 0], dtype=np.uint64)).size == 2**63 - 1
+
+
 def test_histogram_immutable_and_hashable():
     x = H({0: 1})
     with pytest.raises(AttributeError):
