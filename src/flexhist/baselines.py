@@ -21,20 +21,26 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache
-from typing import Sequence
+from typing import Sequence, Union
 
 import numpy as np
 
 from . import mechanisms
 from .hist import (
+    UNDEFINED,
+    CountRows,
     DomainError,
     Histogram,
     ParameterError,
     StatisticKind,
     eval_statistic,
     require_1d_statistic,
+    statistic_or_undefined,
 )
-from .mechanisms import UNDEFINED, statistic_or_undefined
+from .mechanisms import as_streams, cumulative_weights, pick
+
+#: one stream, or a sequence of distinct streams (see mechanisms.as_streams)
+Streams = Union["mechanisms.RngStream", Sequence["mechanisms.RngStream"]]
 
 
 def _range_bound(x: Histogram) -> int:
@@ -60,24 +66,36 @@ def _counts_vector(x: Histogram) -> np.ndarray:
     return c
 
 
+@lru_cache(maxsize=16)
+def _statistic(kind: StatisticKind, x: Histogram):
+    """f(x), or UNDEFINED.  It depends on the dataset only, so it is computed
+    once per (statistic, dataset), for every mechanism and epsilon."""
+    return statistic_or_undefined(kind, x)
+
+
 # ---------------------------------------------------------------------------
 # exponential mechanism
 
 
-def exp_mech(kind: StatisticKind, x: Histogram, eps: float, rng: mechanisms.RngStream) -> int:
+def exp_mech(kind: StatisticKind, x: Histogram, eps: float, rng: Streams):
     """Sample r in [0,B) with weight exp(-eps*|f(x)-r| / (2B)).
 
     The error utility swings by up to the full range across neighbors for
     these statistics, so the sensitivity in the exponent is B — which is
     exactly why this mechanism flattens toward uniform on wide ranges.
+    For a sequence of streams, a list: the cumulative weights are computed
+    once, then each stream draws random() for its pick.
     """
+    streams, one = as_streams(rng)
     bound = _range_bound(x)
-    f = statistic_or_undefined(kind, x)
+    f = _statistic(kind, x)
     if f is UNDEFINED:
-        return int(rng.integers(0, bound))
-    r = np.arange(bound)
-    w = np.exp(-eps * np.abs(f - r) / (2.0 * bound))
-    return int(rng.choice_weighted(w))
+        values = [int(s.integers(0, bound)) for s in streams]
+    else:
+        r = np.arange(bound)
+        c = cumulative_weights(np.exp(-eps * np.abs(f - r) / (2.0 * bound)))
+        values = pick(c, np.array([s.random() for s in streams])).tolist()
+    return values[0] if one else values
 
 
 # ---------------------------------------------------------------------------
@@ -114,17 +132,24 @@ def ptr_stability_radius(kind: StatisticKind, x: Histogram) -> int:
     raise ParameterError(f"no stability radius for {kind}")
 
 
-def ptr_mech(kind: StatisticKind, x: Histogram, eps: float, delta: float,
-             rng: mechanisms.RngStream) -> int:
+def ptr_mech(kind: StatisticKind, x: Histogram, eps: float, delta: float, rng: Streams):
     """Release the exact statistic if the noisy stability radius clears
-    ln(1/delta)/eps, otherwise a uniformly random value from the range."""
+    ln(1/delta)/eps, otherwise a uniformly random value from the range.
+
+    For a sequence of streams, a list: each stream draws its noise and, if
+    the test fails, its value.
+    """
+    streams, one = as_streams(rng)
     bound = _range_bound(x)
-    f = statistic_or_undefined(kind, x)
-    if f is not UNDEFINED:
-        noisy = ptr_stability_radius(kind, x) + rng.laplace(scale=1.0 / eps)
-        if noisy > math.log(1.0 / delta) / eps:
-            return int(f)
-    return int(rng.integers(0, bound))
+    f = _statistic(kind, x)
+    if f is UNDEFINED:
+        values = [int(s.integers(0, bound)) for s in streams]
+    else:
+        radius = ptr_stability_radius(kind, x)
+        threshold = math.log(1.0 / delta) / eps
+        values = [int(f) if radius + s.laplace(scale=1.0 / eps) > threshold
+                  else int(s.integers(0, bound)) for s in streams]
+    return values[0] if one else values
 
 
 # ---------------------------------------------------------------------------
@@ -235,30 +260,46 @@ def smooth_sensitivity(kind: StatisticKind, x: Histogram, beta: float) -> float:
     return _ss_cached(kind, x, beta)
 
 
-def ss_mech(kind: StatisticKind, x: Histogram, eps: float, delta: float,
-            rng: mechanisms.RngStream) -> float:
+def ss_mech(kind: StatisticKind, x: Histogram, eps: float, delta: float, rng: Streams):
     """f(x) plus Laplace noise scaled by the smooth sensitivity at
-    beta = eps / (2 ln(2/delta))."""
-    f = statistic_or_undefined(kind, x)
+    beta = eps / (2 ln(2/delta)).
+
+    For a sequence of streams, a list: the smooth sensitivity is looked up
+    once, then each stream draws its noise.
+    """
+    streams, one = as_streams(rng)
+    f = _statistic(kind, x)
     if f is UNDEFINED:
-        return float(rng.integers(0, _range_bound(x)))
-    beta = eps / (2.0 * math.log(2.0 / delta))
-    ss = smooth_sensitivity(kind, x, beta)
-    return float(f) + (2.0 * ss / eps) * rng.laplace(scale=1.0)
+        bound = _range_bound(x)
+        values = [float(s.integers(0, bound)) for s in streams]
+    else:
+        beta = eps / (2.0 * math.log(2.0 / delta))
+        scale = 2.0 * smooth_sensitivity(kind, x, beta) / eps
+        values = [float(f) + scale * s.laplace(scale=1.0) for s in streams]
+    return values[0] if one else values
 
 
 # ---------------------------------------------------------------------------
 # stability-based sanitized histogram
 
 
-def bns_hist(x: Histogram, eps: float, delta: float, rng: mechanisms.RngStream) -> Histogram:
+def bns_hist(x: Histogram, eps: float, delta: float, rng: Streams) -> Histogram | CountRows:
     """Per-bar Laplace(2/eps) on occupied bars, suppressed below the
     stability threshold 1 + 2 ln(2/delta)/eps; empty bars are never touched,
-    so the output support is a subset of the input support."""
+    so the output support is a subset of the input support.
+
+    For a sequence of streams, CountRows: each stream draws its bars' noise
+    as alone, and the threshold and rounding run on all the rows.
+    """
+    streams, one = as_streams(rng)
     thr = 1.0 + 2.0 * math.log(2.0 / delta) / eps
     counts = x.bars()[1]
-    v = counts + rng.laplace(scale=2.0 / eps, size=len(counts))  # one draw per bar, in order
-    return x.with_counts(np.where(v > thr, np.rint(v), 0))  # rint: half to even, as round
+    v = np.empty((len(streams), len(counts)))
+    for s, row in zip(streams, v):
+        row[:] = s.laplace(scale=2.0 / eps, size=len(counts))  # one draw per bar, in order
+    v += counts
+    released = CountRows(x, np.where(v > thr, np.rint(v), 0))  # rint: half to even, as round
+    return released[0] if one else released
 
 
 # ---------------------------------------------------------------------------
@@ -266,33 +307,30 @@ def bns_hist(x: Histogram, eps: float, delta: float, rng: mechanisms.RngStream) 
 
 
 def sanpoints(x: Histogram, eps: float, delta: float, k_rounds: int,
-              rng: mechanisms.RngStream | Sequence[mechanisms.RngStream]
-              ) -> Histogram | list[Histogram]:
+              rng: Streams) -> Histogram | CountRows:
     """k_rounds iterations of: pick a remaining bar with weight
     exp(eps' * height / 2) (eps' = eps/(2*k_rounds), height sensitivity 1)
     without replacement, then report its height plus Laplace(2*k_rounds/eps),
     clamped at zero and rounded.  Unchosen bars are reported as zero.
 
-    ``rng`` is one stream, or a sequence of streams: then the result is a
-    list, one release per stream, each what that stream alone releases.
+    ``rng`` is one stream, or a sequence of streams: then the result is
+    CountRows, one release per stream, each what that stream alone releases.
     Every round, each stream draws random() for its pick and then its noise.
 
     This follows a prose sketch only; treat its benchmark rows as an
     approximate reproduction.
     """
     del delta  # budget is pure eps: half selection, half noise
-    one = isinstance(rng, np.random.Generator)
-    streams = [rng] if one else list(rng)
+    streams, one = as_streams(rng)
     if k_rounds < 1:
         raise ParameterError("k_rounds must be >= 1")
     if len(x) == 0:
-        released = [x] * len(streams)
+        released = CountRows(x, np.zeros((len(streams), 0)))
     elif k_rounds > len(x):
         raise ParameterError(f"k_rounds = {k_rounds} exceeds {len(x)} occupied bars")
     else:
         # rint: half to even, as round, and inf stays inf
-        released = [x.with_counts(row)
-                    for row in np.rint(_sanpoints_rows(x, eps, k_rounds, streams))]
+        released = CountRows(x, np.rint(_sanpoints_rows(x, eps, k_rounds, streams)))
     return released[0] if one else released
 
 
@@ -314,14 +352,8 @@ def _sanpoints_rows(x: Histogram, eps: float, k_rounds: int,
     out = np.zeros(left.shape)  # unchosen bars, and chosen ones rounding to <= 0, drop out
     for _ in range(k_rounds):
         h = heights[left]
-        w = np.exp(eps_round * (h - h.max(axis=1, keepdims=True)) / 2.0)
-        c = np.add.accumulate(w / w.sum(axis=1, keepdims=True), axis=1)  # cumsum
-        # a draw at or past c[t, -1], which rounding can leave below 1, picks
-        # the last bar with weight, the first where c reaches c[t, -1]: so
-        # every draw is capped at the float just below c[t, -1]
-        u = np.minimum([s.random() for s in streams], np.nextafter(c[:, -1], 0.0))
-        j = (c <= u[:, None]).sum(axis=1)  # searchsorted(c[t], u[t], side="right")
-        i = left[rows, j]
+        c = cumulative_weights(np.exp(eps_round * (h - h.max(axis=1, keepdims=True)) / 2.0))
+        i = left[rows, pick(c, np.array([s.random() for s in streams]))]
         left = left[left != i[:, None]].reshape(len(streams), left.shape[1] - 1)
         out[rows, i] = heights[i] + np.array([s.laplace(scale=scale) for s in streams])
     return out
@@ -331,19 +363,20 @@ def _sanpoints_rows(x: Histogram, eps: float, k_rounds: int,
 # statistic wrappers used by the benchmark
 
 
-def bns_mech(kind: StatisticKind, x: Histogram, eps: float, delta: float,
-             rng: mechanisms.RngStream):
+def bns_mech(kind: StatisticKind, x: Histogram, eps: float, delta: float, rng: Streams):
+    """The statistic of bns_hist's release; for a sequence of streams, a
+    list with one statistic per stream, read off the count rows."""
     require_1d_statistic(kind, x)  # before any draw: an empty release would answer undefined
-    return statistic_or_undefined(kind, bns_hist(x, eps, delta, rng))
+    streams, one = as_streams(rng)
+    values = bns_hist(x, eps, delta, streams).statistics(kind)
+    return values[0] if one else values
 
 
 def sanpoints_mech(kind: StatisticKind, x: Histogram, eps: float, delta: float,
-                   rng: mechanisms.RngStream | Sequence[mechanisms.RngStream],
-                   k_rounds: int = 8):
+                   rng: Streams, k_rounds: int = 8):
     """The statistic of sanpoints' release; for a sequence of streams, a
-    list with one statistic per stream."""
+    list with one statistic per stream, read off the count rows."""
     require_1d_statistic(kind, x)
-    released = sanpoints(x, eps, delta, min(k_rounds, max(1, len(x))), rng)
-    if isinstance(released, Histogram):
-        return statistic_or_undefined(kind, released)
-    return [statistic_or_undefined(kind, y) for y in released]
+    streams, one = as_streams(rng)
+    values = sanpoints(x, eps, delta, min(k_rounds, max(1, len(x))), streams).statistics(kind)
+    return values[0] if one else values

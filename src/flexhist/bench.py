@@ -11,9 +11,11 @@ CSV.  Every (dataset, run, mechanism, epsilon) task derives its own stream
 seed via split_seed (computed for the whole grid at once, bit for bit the
 same).  The runner keeps one RngStream per run, re-seeded in place for each
 task; on each dataset it makes one ``release`` call per (mechanism,
-epsilon) with the streams of all the runs, and it aggregates the results in
-fixed index order.  The runner is serial: each release is a chain of small
-numpy calls that hold the GIL, so worker threads would only contend for it.
+epsilon) with the streams of all the runs, which calls the mechanism once
+with all of them, and it aggregates the results in fixed index order.  Each
+stream draws what it would draw alone.  The runner is serial: each release
+is a chain of small numpy calls that hold the GIL, so worker threads would
+only contend for it.
 """
 
 from __future__ import annotations
@@ -44,6 +46,7 @@ from .hist import (
 from .mechanisms import (
     UNDEFINED,
     MechParams,
+    as_streams,
     mech_hbs,
     seed_sequence_words,
     split_seed,
@@ -316,25 +319,35 @@ def gen_dataset(cfg: ExperimentConfig, rng: mechanisms.RngStream) -> Histogram:
 
 
 @lru_cache(maxsize=64)
+def derive_alpha(space: MetricSpace, beta: float, delta: float, eps: float,
+                 n: int) -> tuple[float, float, float]:
+    """(q, tau, alpha) for the bucketed noisy-histogram release over space,
+    alpha unclamped: q comes from the delta solver, tau = q/n and alpha = tau*t.
+    Cached: the CSV comment lines repeat it."""
+    if n < 1:
+        raise DomainError("buckethist needs a non-empty histogram")
+    q = solve_q(eps, delta)
+    t = MechParams(alpha=0.0, beta=beta, eps=eps, B=space.bound, d=space.dimension).t
+    tau = q / n
+    return q, tau, tau * t
+
+
+@lru_cache(maxsize=64)
 def derive_mech_params(space: MetricSpace, beta: float, delta: float, eps: float,
                        n: int) -> tuple[MechParams, tuple[str, ...]]:
     """(alpha, beta, eps) for the bucketed noisy-histogram release over space.
 
-    q comes from the delta solver, tau = q/n and alpha = tau*t.  When the
-    derivation leaves the valid range (tau or alpha >= 1, e.g. a tiny input)
-    the run still happens with alpha clamped just below 1, but the result is
-    flagged: no certificate covers it.  Cached: each run of a dataset repeats it.
+    alpha is derive_alpha's.  When the derivation leaves the valid range
+    (tau or alpha >= 1, e.g. a tiny input) the run still happens with alpha
+    clamped just below 1, but the result is flagged: no certificate covers
+    it.  Cached: datasets of one size repeat it.
     """
-    if n < 1:
-        raise DomainError("buckethist needs a non-empty histogram")
-    q = solve_q(eps, delta)
-    params = MechParams(alpha=0.0, beta=beta, eps=eps, B=space.bound, d=space.dimension)
-    alpha = (q / n) * params.t
+    alpha = derive_alpha(space, beta, delta, eps, n)[2]
     flags: tuple[str, ...] = ()
     if not alpha < 1:
         alpha = math.nextafter(1.0, 0.0)
         flags = (FLAG_NO_CERT,)
-    return MechParams(alpha, beta, eps, params.B, params.d), flags
+    return MechParams(alpha, beta, eps, space.bound, space.dimension), flags
 
 
 def derive_params(cfg: ExperimentConfig, eps: float, n: int) -> tuple[MechParams, tuple[str, ...]]:
@@ -352,28 +365,27 @@ def release(name: str, kind: StatisticKind, x: Histogram, eps: float, delta: flo
 
     ``rng`` is one stream, or a sequence of streams: then the result is a
     list with one (value, flags) per stream, each what release with that
-    stream alone returns.  sanpoints releases for all the streams in one
-    call; the other mechanisms are called once per stream.
+    stream alone returns.  Either way the mechanism is called once, with all
+    the streams.
 
     Each mechanism is called by its name in this module's globals, so a
     wrapper installed over that name sees every call.  buckethist derives
     its parameters from x's space and size (its flags say whether a
     certificate covers them); ``rounds`` is sanpoints' round count.
     """
-    one = isinstance(rng, np.random.Generator)
-    streams = [rng] if one else rng
+    streams, one = as_streams(rng)
     flags: tuple[str, ...] = ()
     if name == "buckethist":
         params, flags = derive_mech_params(x.space, beta, delta, eps, x.size)
-        values = [mech_hbs(kind, x, params, s) for s in streams]
+        values = mech_hbs(kind, x, params, streams)
     elif name == "expmech":
-        values = [exp_mech(kind, x, eps, s) for s in streams]
+        values = exp_mech(kind, x, eps, streams)
     elif name == "ptr":
-        values = [ptr_mech(kind, x, eps, delta, s) for s in streams]
+        values = ptr_mech(kind, x, eps, delta, streams)
     elif name == "smoothsens":
-        values = [ss_mech(kind, x, eps, delta, s) for s in streams]
+        values = ss_mech(kind, x, eps, delta, streams)
     elif name == "bnshist":
-        values = [bns_mech(kind, x, eps, delta, s) for s in streams]
+        values = bns_mech(kind, x, eps, delta, streams)
     elif name == "sanpoints":
         values = sanpoints_mech(kind, x, eps, delta, streams, k_rounds=rounds)
         flags = (FLAG_APPROX,)
@@ -467,10 +479,9 @@ def _metadata(cfg: ExperimentConfig, datasets: Sequence[Histogram]) -> list[str]
     ours = derive_params(cfg, cfg.eps_grid[0], n0)[0]  # w and t: the same at every eps
     lines.append(f"ours: beta = {ours.beta!r}  w = {ours.w!r}  t = {ours.t}")
     for eps in cfg.eps_grid:
-        q = solve_q(eps, cfg.delta)
-        tau = q / n0
+        q, tau, alpha = derive_alpha(cfg.space, cfg.beta_value, cfg.delta, eps, n0)
         lines.append(f"ours at eps = {eps!r}: q = {q!r}  tau = {tau!r}  "
-                     f"alpha = {tau * ours.t!r}  (dataset 0, n = {n0})")
+                     f"alpha = {alpha!r}  (dataset 0, n = {n0})")
     return lines
 
 

@@ -10,8 +10,10 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
+from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import compress
 from typing import Iterable, Iterator, Mapping, Union
 
 import numpy as np
@@ -327,6 +329,23 @@ def parse_statistic(text: str, k: int | None = None) -> StatisticKind:
     return StatisticKind(name, k)
 
 
+class Undefined:
+    """Distinguished 'no release' value (empty output, unmet count threshold)."""
+
+    _instance = None
+
+    def __new__(cls):
+        if cls._instance is None:
+            cls._instance = super().__new__(cls)
+        return cls._instance
+
+    def __repr__(self) -> str:
+        return "undefined"
+
+
+UNDEFINED = Undefined()
+
+
 def eval_statistic(kind: StatisticKind, x: Histogram):
     """Evaluate a histogram statistic.
 
@@ -337,20 +356,106 @@ def eval_statistic(kind: StatisticKind, x: Histogram):
     """
     if x.size == 0:
         raise UndefinedStatisticError("statistic of an empty histogram")
+    value = statistic_or_undefined(kind, x)
+    if value is UNDEFINED:
+        raise UndefinedStatisticError(f"no bar reaches count {kind.k}")
+    return value
+
+
+def statistic_or_undefined(kind: StatisticKind, y: Histogram):
+    """The statistic of a histogram, or UNDEFINED when it has none (empty
+    histogram, no bar reaching a maxk threshold)."""
+    return _row_statistics(kind, y, y.bars()[1][None])[0]
+
+
+def _row_statistics(kind: StatisticKind, x: Histogram, counts: np.ndarray) -> list:
+    """The statistic of x.with_counts(row) for each row of counts (int64,
+    none negative, one per bar of x in point order), UNDEFINED where it has
+    none, without building the histograms.
+
+    The one owner of the statistics' rules: max, min and maxk take the last
+    bar held, the first bar held and the last bar holding at least k; mode
+    takes the first bar of the largest count, so ties go to the smaller bar.
+    """
+    if counts.shape[1] == 0:
+        return [UNDEFINED] * len(counts)
+    points = x.bars()[0]
     if kind.name == "support":
-        return x.support()
-    require_1d_statistic(kind, x)
-    points, counts = x.bars()
-    if kind.name == "maxk":
-        qualifying = np.flatnonzero(counts >= kind.k)
-        if qualifying.size == 0:
-            raise UndefinedStatisticError(f"no bar reaches count {kind.k}")
-        i = qualifying[-1]
-    elif kind.name == "mode":  # argmax takes the first maximum: ties go to the smaller bar
-        i = np.argmax(counts)
+        held = counts > 0
+        return [frozenset(compress(points, row)) if d else UNDEFINED
+                for row, d in zip(held.tolist(), held.any(axis=1).tolist())]
+    try:
+        require_1d_statistic(kind, x)
+    except DomainError:
+        if counts.any():  # an empty release has no statistic to reject
+            raise
+        return [UNDEFINED] * len(counts)
+    rows = np.arange(len(counts))
+    if kind.name == "mode":  # argmax takes the first maximum
+        i = counts.argmax(axis=1)
+        defined = counts[rows, i] > 0
     else:
-        i = -1 if kind.name == "max" else 0
-    return points[i][0]  # the stored Python scalar, not a numpy one
+        held = counts >= (kind.k or 1)  # maxk's threshold; max and min: 1
+        if kind.name == "min":
+            i = held.argmax(axis=1)
+        else:  # max, maxk: the first bar held from the right
+            i = counts.shape[1] - 1 - held[:, ::-1].argmax(axis=1)
+        defined = held[rows, i]
+    # the stored Python scalar, not a numpy one
+    return [points[j][0] if d else UNDEFINED for j, d in zip(i.tolist(), defined.tolist())]
+
+
+def _checked_rows(x: Histogram, rows) -> np.ndarray:
+    """Rows of counts on x's bars as int64, every count <= 0 (NaN too) set to
+    0, with the checks with_counts makes, row after row: the same DomainError
+    for the first row it rejects."""
+    rows = np.asarray(rows)
+    if rows.ndim != 2 or rows.shape[1] != len(x):
+        raise DomainError(f"count rows of shape {rows.shape} on {len(x)} bars")
+    top = np.fmax.reduce(rows, axis=None, initial=0).item()  # fmax: NaN is no maximum
+    if top > (2**63 - 1) // max(1, len(x)):  # a count past int64, or a row that may sum past it
+        for row in rows:  # with_counts raises at the first row it rejects
+            x.with_counts(row)
+    return np.fmax(rows, 0).astype(np.int64, copy=False)
+
+
+class CountRows(Sequence):
+    """Histograms on the bars of ``base``, one row of counts each: item i is
+    base.with_counts(rows[i]), built when it is read.
+
+    The rows are checked when the object is made, as with_counts would check
+    them one after another, and kept as a read-only int64 array with every
+    count <= 0 set to 0.  ``statistics`` reads a statistic off them.  Equal
+    to a list or tuple of the same histograms.
+    """
+
+    __slots__ = ("base", "rows")
+
+    def __init__(self, base: Histogram, rows):
+        self.base = base
+        self.rows = _checked_rows(base, rows)
+        self.rows.flags.writeable = False
+
+    def __len__(self) -> int:
+        return len(self.rows)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [self[j] for j in range(len(self))[i]]
+        return self.base.with_counts(self.rows[i])
+
+    def statistics(self, kind: StatisticKind) -> list:
+        """The statistic of each item, UNDEFINED where it has none, read off
+        the rows without building the histograms."""
+        return _row_statistics(kind, self.base, self.rows)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, (CountRows, list, tuple)):
+            return NotImplemented
+        return list(self) == list(other)
+
+    def __repr__(self) -> str:
+        return f"CountRows({list(self)!r})"
 
 
 def require_1d_statistic(kind: StatisticKind, x: Histogram) -> None:

@@ -18,14 +18,16 @@ from typing import Sequence
 
 import numpy as np
 
-from .hist import (
+from .hist import (  # UNDEFINED, Undefined and statistic_or_undefined live in hist
+    UNDEFINED,
+    CountRows,
     DomainError,
     Histogram,
     ParameterError,
     Point,
     StatisticKind,
-    UndefinedStatisticError,
-    eval_statistic,
+    Undefined,
+    statistic_or_undefined,
 )
 
 _M64 = (1 << 64) - 1
@@ -165,17 +167,7 @@ def __getattr__(name: str):
             return self
 
         def choice_weighted(self, weights: np.ndarray) -> int:
-            w = np.asarray(weights, dtype=float)
-            total = w.sum()
-            if not total > 0:
-                raise ParameterError("weights must have positive total")
-            c = np.cumsum(w / total)
-            i = int(np.searchsorted(c, self.random(), side="right"))
-            if i < len(c):
-                return i
-            # the draw is at or past c[-1], which rounding can leave below 1: the
-            # pick is the last bar with weight, the first where c reaches c[-1]
-            return int(np.searchsorted(c, c[-1], side="left"))
+            return int(pick(cumulative_weights(weights), self.random()))
 
     # numpy's Generator pickles and copies as the base class: register a
     # reduction that rebuilds this class at the same stream position
@@ -188,6 +180,43 @@ def _stream_at(cls: type, state: dict):
     stream = cls(0)
     stream.bit_generator.state = state
     return stream
+
+
+def as_streams(rng) -> tuple[list, bool]:
+    """(streams, one): ``rng`` as a list of streams, and whether it was a
+    single stream rather than a sequence of them.
+
+    A mechanism given a sequence of distinct streams returns one result per
+    stream, each what it returns given that stream alone: every stream makes
+    the draws it would make alone, in the same order.  A single stream is a
+    batch of one.
+    """
+    one = isinstance(rng, np.random.Generator)
+    return ([rng] if one else list(rng)), one
+
+
+def cumulative_weights(weights) -> np.ndarray:
+    """The cumulative sums of weights / their total along the last axis: one
+    row per pick, or one row for every pick."""
+    w = np.asarray(weights, dtype=float)
+    total = w.sum(axis=-1, keepdims=True)
+    if not total.min(initial=1.0) > 0:  # NaN is the minimum if there is one
+        raise ParameterError("weights must have positive total")
+    return np.add.accumulate(w / total, axis=-1)  # np.cumsum, with less call overhead
+
+
+def pick(c: np.ndarray, u):
+    """The bar each uniform draw u picks on cumulative weights c (one row
+    per draw, or one row for every draw): searchsorted(c, u, side="right").
+
+    A draw at or past c[-1], which rounding can leave below 1, picks the last
+    bar with weight, the first where c reaches c[-1]: so every draw is capped
+    at the float just below c[-1], and the pick is the count of sums <= u.
+    """
+    u = np.minimum(u, np.nextafter(c[..., -1], 0.0))
+    if c.ndim == 1:  # the same count, by bisection
+        return np.searchsorted(c, u, side="right")
+    return (c <= u[..., None]).sum(axis=-1)
 
 
 # ---------------------------------------------------------------------------
@@ -235,15 +264,18 @@ def trlap_cdf(q: float, eps: float, t: float) -> float:
 
 def trlap_sample(q: float, eps: float, rng: RngStream, size=None):
     """Inverse-CDF draws from the shifted-truncated Laplace density."""
+    z = _trlap_quantile(q, eps, rng.random(size))
+    return float(z) if size is None else z
+
+
+def _trlap_quantile(q: float, eps: float, u) -> np.ndarray:
+    """The truncated-Laplace noise at uniform levels u, elementwise."""
     lo = 0.5 * math.exp(-eps * q / 2)  # Laplace cdf at -q
-    u = rng.random(size)
     p = lo + np.asarray(u) * (1.0 - 2.0 * lo)  # untruncated cdf level
     with np.errstate(divide="ignore"):
         left = -q / 2 + np.log(2.0 * p) / eps
         right = -q / 2 - np.log(2.0 * (1.0 - p)) / eps
-    z = np.where(p <= 0.5, left, right)
-    z = np.clip(z, -q, 0.0)
-    return float(z) if size is None else z
+    return np.clip(np.where(p <= 0.5, left, right), -q, 0.0)
 
 
 def trlap_output_pmf(k: int, q: float, eps: float) -> np.ndarray:
@@ -272,23 +304,31 @@ def trlap_output_pmf(k: int, q: float, eps: float) -> np.ndarray:
 # mechanisms
 
 
-def mech_trlap(x: Histogram, tau: float, eps: float, rng: RngStream) -> Histogram:
+def mech_trlap(x: Histogram, tau: float, eps: float,
+               rng: RngStream | Sequence[RngStream]) -> Histogram | CountRows:
     """Per-bar truncated-Laplace release with truncation q = tau * |x|.
 
     tau = 0 degenerates to the identity (zero noise).  Occupied bars lose at
-    most floor(q + 1/2) elements each; empty bars stay empty.
+    most floor(q + 1/2) elements each; empty bars stay empty.  For a sequence
+    of streams (see as_streams), CountRows: each stream draws its bars'
+    uniform levels as alone, and the noise and rounding run on all the rows.
     """
+    streams, one = as_streams(rng)
     if not 0 <= tau < 1:
         raise ParameterError(f"tau must be in [0,1), got {tau}")
     if x.size == 0:
         raise DomainError("mech_trlap needs a non-empty histogram")
-    if tau == 0:
-        return x
+    counts = x.bars()[1]
+    if tau == 0:  # every release is x
+        return x if one else CountRows(x, np.tile(counts, (len(streams), 1)))
     if not eps > 0:
         raise ParameterError("eps must be positive")
-    counts = x.bars()[1]
-    z = trlap_sample(tau * x.size, eps, rng, size=len(counts))
-    return x.with_counts(np.floor(counts + z + 0.5))  # round half away; <= 0 is dropped
+    u = np.empty((len(streams), len(counts)))
+    for s, row in zip(streams, u):
+        s.random(out=row)  # the draws of s.random(len(counts))
+    z = _trlap_quantile(tau * x.size, eps, u)
+    released = CountRows(x, np.floor(counts + z + 0.5))  # round half away; <= 0 is dropped
+    return released[0] if one else released
 
 
 @dataclass(frozen=True)
@@ -400,41 +440,21 @@ class MechParams:
         return self.alpha / self.t
 
 
-def mech_buckethist(x: Histogram, p: MechParams, rng: RngStream) -> Histogram:
+def mech_buckethist(x: Histogram, p: MechParams,
+                    rng: RngStream | Sequence[RngStream]) -> Histogram | CountRows:
     """Bucket to width 2*beta, then truncated-Laplace with tau = alpha / t."""
     return mech_trlap(mech_bucket(x, p.bucket_spec), p.tau, p.eps, rng)
 
 
-class Undefined:
-    """Distinguished 'no release' value (empty output, unmet count threshold)."""
-
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self) -> str:
-        return "undefined"
-
-
-UNDEFINED = Undefined()
-
-
-def statistic_or_undefined(kind: StatisticKind, y: Histogram):
-    """The statistic of a released histogram, or UNDEFINED when it has none
-    (empty histogram, no bar reaching a maxk threshold)."""
-    try:
-        return eval_statistic(kind, y)
-    except UndefinedStatisticError:
-        return UNDEFINED
-
-
-def mech_hbs(kind: StatisticKind, x: Histogram, p: MechParams, rng: RngStream):
+def mech_hbs(kind: StatisticKind, x: Histogram, p: MechParams,
+             rng: RngStream | Sequence[RngStream]):
     """Release a histogram statistic through the bucketed noisy histogram.
 
     Returns UNDEFINED instead of raising when the released statistic does
-    not exist; callers score that as full-range error.
+    not exist; callers score that as full-range error.  For a sequence of
+    streams, a list with one statistic per stream, read off the release's
+    count rows.
     """
-    return statistic_or_undefined(kind, mech_buckethist(x, p, rng))
+    streams, one = as_streams(rng)
+    values = mech_buckethist(x, p, streams).statistics(kind)
+    return values[0] if one else values

@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from flexhist import bench
+from flexhist import baselines, bench
 from flexhist.audit import flexible_error
 from flexhist.baselines import bns_mech, exp_mech, ptr_mech, sanpoints_mech, ss_mech
 from flexhist.bench import (
@@ -25,6 +25,7 @@ from flexhist.bench import (
     ExperimentConfig,
     ResultRow,
     check_releasable,
+    derive_alpha,
     derive_mech_params,
     gen_dataset,
     parse_config,
@@ -34,6 +35,7 @@ from flexhist.bench import (
     run_to_csv,
     write_csv,
 )
+from flexhist.certificates import solve_q
 from flexhist.hist import (
     MAX,
     MIN,
@@ -549,26 +551,64 @@ def test_run_experiment_scores_each_cell_through_the_traced_name(monkeypatch):
     assert calls == [len(cfg.mechanisms) * len(cfg.eps_grid)] * (cfg.datasets * cfg.runs)
 
 
-def test_run_experiment_releases_sanpoints_once_per_dataset_and_eps(monkeypatch):
-    # perfbench traces baselines.sanpoints_mech by wrapping bench.sanpoints_mech
-    assert bench.sanpoints_mech is sanpoints_mech
+def test_run_experiment_releases_each_mechanism_once_per_dataset_and_eps(monkeypatch):
+    # perfbench traces each mechanism by wrapping its name in bench's globals
+    own = {"mech_hbs": mech_hbs, "exp_mech": exp_mech, "ptr_mech": ptr_mech,
+           "ss_mech": ss_mech, "bns_mech": bns_mech, "sanpoints_mech": sanpoints_mech}
     batches, cells = [], []
+    for name, fn in RUNS.items():
+        real = getattr(bench, fn)
+        assert real is own[fn]
 
-    def batched(kind, x, eps, delta, rng, k_rounds):
-        batches.append((x, eps, len(rng)))
-        return sanpoints_mech(kind, x, eps, delta, rng, k_rounds=k_rounds)
+        def batched(kind, x, eps, *args, _name=name, _real=real, **kwargs):
+            # buckethist's third argument is its MechParams
+            batches.append((_name, x, getattr(eps, "eps", eps), len(args[-1])))
+            return _real(kind, x, eps, *args, **kwargs)
+
+        monkeypatch.setattr(bench, fn, batched)
 
     def scored(kind, x, released, budget):
         cells.append(len(released))
         return flexible_error(kind, x, released, budget)
 
-    monkeypatch.setattr(bench, "sanpoints_mech", batched)
     monkeypatch.setattr(bench, "flexible_error", scored)
-    cfg = replace(parse_config(BASE_CFG), mechanisms=("sanpoints", "buckethist"))
+    cfg = replace(parse_config(BASE_CFG), mechanisms=MECHANISMS)
     run_experiment(cfg)
     datasets = [gen_dataset(cfg, RngStream(split_seed(cfg.seed, d))) for d in range(cfg.datasets)]
-    assert batches == [(x, eps, cfg.runs) for x in datasets for eps in cfg.eps_grid]
+    assert batches == [(name, x, eps, cfg.runs) for x in datasets
+                       for name in cfg.mechanisms for eps in cfg.eps_grid]
     assert cells == [len(cfg.mechanisms) * len(cfg.eps_grid)] * (cfg.datasets * cfg.runs)
+
+
+@pytest.mark.parametrize("name, distinct", [("exp1", 2), ("exp2", 1)])
+def test_run_experiment_computes_each_smooth_sensitivity_once(name, distinct):
+    # one lookup per (dataset, eps), as ss_mech takes all the runs at once;
+    # a miss per distinct (dataset, beta), as before batching
+    cfg = replace(read_config(str(CONFIGS / f"{name}.cfg")), mechanisms=("smoothsens",),
+                  datasets=2, runs=3)
+    run_experiment(cfg)
+    info = baselines._ss_cached.cache_info()
+    assert info.misses == distinct * len(cfg.eps_grid)
+    assert info.hits + info.misses == cfg.datasets * len(cfg.eps_grid)
+
+
+def test_metadata_echoes_the_unclamped_alpha_of_the_one_derivation():
+    cfg = replace(parse_config(BASE_CFG), eps_grid=(0.1, 1.0))
+    meta = run_experiment(cfg)[1]
+    n = gen_dataset(cfg, RngStream(split_seed(cfg.seed, 0))).size
+    clamped = []
+    for eps in cfg.eps_grid:
+        q, tau, alpha = derive_alpha(cfg.space, cfg.beta_value, cfg.delta, eps, n)
+        assert (f"ours at eps = {eps!r}: q = {q!r}  tau = {tau!r}  alpha = {alpha!r}"
+                f"  (dataset 0, n = {n})") in meta
+        params, flags = derive_mech_params(cfg.space, cfg.beta_value, cfg.delta, eps, n)
+        assert (q, tau, alpha) == (solve_q(eps, cfg.delta), q / n, (q / n) * params.t)
+        if alpha < 1:
+            assert (params.alpha, flags) == (alpha, ())
+        else:
+            assert (params.alpha, flags) == (math.nextafter(1.0, 0.0), (FLAG_NO_CERT,))
+            clamped.append(eps)
+    assert clamped == [0.1]  # the line shows the alpha the run clamps
 
 
 @pytest.mark.parametrize("name, distinct", [("exp1", 10), ("exp2", 1)])
@@ -578,7 +618,8 @@ def test_run_experiment_buckets_each_dataset_once(name, distinct):
     run_experiment(cfg)
     info = mech_bucket.cache_info()
     assert info.misses == distinct
-    assert info.hits + info.misses == cfg.datasets * cfg.runs * len(cfg.eps_grid)
+    # one lookup per (dataset, eps): the release takes all the runs at once
+    assert info.hits + info.misses == cfg.datasets * len(cfg.eps_grid)
 
 
 def test_write_csv_formatting():
@@ -683,6 +724,6 @@ def test_release_calls_each_mechanism_through_its_module_global(monkeypatch):
         calls.clear()
         release(name, MAX, x, 1.0, DEFAULT_DELTA, 1.0, 3, RngStream(0))
         assert calls == [fn], name
-        calls.clear()  # sanpoints takes all the streams at once, the others one each
+        calls.clear()  # every mechanism takes all the streams at once
         release(name, MAX, x, 1.0, DEFAULT_DELTA, 1.0, 3, [RngStream(0), RngStream(1)])
-        assert calls == [fn] * (1 if name == "sanpoints" else 2), name
+        assert calls == [fn], name
