@@ -11,6 +11,7 @@ from .hist import (
     MIN,
     MODE,
     SUPPORT,
+    UNDEFINED,
     dhist,
     dsupp,
     eval_statistic,
@@ -23,9 +24,9 @@ from .hist import (
 from .transport import DiscreteDistribution, tv_distance, winf, winf_lossy
 from .distortion import drmv, drop, move
 from .mechanisms import (
-    UNDEFINED,
     BucketSpec,
     MechParams,
+    RngStream,
     mech_bucket,
     mech_buckethist,
     mech_hbs,
@@ -43,13 +44,6 @@ from .audit import dp_delta_exact, flexible_error
 from .bench import ExperimentConfig, run_experiment
 
 __version__ = "0.1.0"
-
-
-def __getattr__(name: str):
-    if name == "RngStream":  # defined on first use: see flexhist.mechanisms
-        return mechanisms.RngStream
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
 
 __all__ = [
     "AccuracyCert", "BucketSpec", "DPCert", "DiscreteDistribution",

@@ -22,6 +22,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .hist import (
+    UNDEFINED,
     DomainError,
     Histogram,
     ParameterError,
@@ -32,7 +33,7 @@ from .hist import (
     neighbors,
     require_1d_statistic,
 )
-from .mechanisms import UNDEFINED, trlap_output_pmf
+from .mechanisms import trlap_output_pmf
 from .transport import DiscreteDistribution
 
 _ORACLE_ATOM_GUARD = 4

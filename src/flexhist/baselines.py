@@ -21,11 +21,9 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache
-from typing import Sequence, Union
 
 import numpy as np
 
-from . import mechanisms
 from .hist import (
     UNDEFINED,
     CountRows,
@@ -37,10 +35,7 @@ from .hist import (
     require_1d_statistic,
     statistic_or_undefined,
 )
-from .mechanisms import as_streams, cumulative_weights, pick
-
-#: one stream, or a sequence of distinct streams (see mechanisms.as_streams)
-Streams = Union["mechanisms.RngStream", Sequence["mechanisms.RngStream"]]
+from .mechanisms import Streams, _check_privacy, as_streams, cumulative_weights, pick
 
 
 def _range_bound(x: Histogram) -> int:
@@ -86,6 +81,7 @@ def exp_mech(kind: StatisticKind, x: Histogram, eps: float, rng: Streams):
     For a sequence of streams, a list: the cumulative weights are computed
     once, then each stream draws random() for its pick.
     """
+    _check_privacy(eps)
     streams, one = as_streams(rng)
     bound = _range_bound(x)
     f = _statistic(kind, x)
@@ -139,6 +135,7 @@ def ptr_mech(kind: StatisticKind, x: Histogram, eps: float, delta: float, rng: S
     For a sequence of streams, a list: each stream draws its noise and, if
     the test fails, its value.
     """
+    _check_privacy(eps, delta)
     streams, one = as_streams(rng)
     bound = _range_bound(x)
     f = _statistic(kind, x)
@@ -267,6 +264,7 @@ def ss_mech(kind: StatisticKind, x: Histogram, eps: float, delta: float, rng: St
     For a sequence of streams, a list: the smooth sensitivity is looked up
     once, then each stream draws its noise.
     """
+    _check_privacy(eps, delta)
     streams, one = as_streams(rng)
     f = _statistic(kind, x)
     if f is UNDEFINED:
@@ -291,6 +289,7 @@ def bns_hist(x: Histogram, eps: float, delta: float, rng: Streams) -> Histogram 
     For a sequence of streams, CountRows: each stream draws its bars' noise
     as alone, and the threshold and rounding run on all the rows.
     """
+    _check_privacy(eps, delta)
     streams, one = as_streams(rng)
     thr = 1.0 + 2.0 * math.log(2.0 / delta) / eps
     counts = x.bars()[1]
@@ -321,6 +320,7 @@ def sanpoints(x: Histogram, eps: float, delta: float, k_rounds: int,
     approximate reproduction.
     """
     del delta  # budget is pure eps: half selection, half noise
+    _check_privacy(eps)
     streams, one = as_streams(rng)
     if k_rounds < 1:
         raise ParameterError("k_rounds must be >= 1")
@@ -335,7 +335,7 @@ def sanpoints(x: Histogram, eps: float, delta: float, k_rounds: int,
 
 
 def _sanpoints_rows(x: Histogram, eps: float, k_rounds: int,
-                    streams: list[mechanisms.RngStream]) -> np.ndarray:
+                    streams: list[np.random.Generator]) -> np.ndarray:
     """sanpoints' reported heights, unrounded: one row per stream, one column
     per bar of x.
 

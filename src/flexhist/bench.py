@@ -9,13 +9,13 @@ flexible error as percentages of the range [0, B).
 Determinism contract: identical config + master seed give a byte-identical
 CSV.  Every (dataset, run, mechanism, epsilon) task derives its own stream
 seed via split_seed (computed for the whole grid at once, bit for bit the
-same).  The runner keeps one RngStream per run, re-seeded in place for each
-task; on each dataset it makes one ``release`` call per (mechanism,
-epsilon) with the streams of all the runs, which calls the mechanism once
-with all of them, and it aggregates the results in fixed index order.  Each
-stream draws what it would draw alone.  The runner is serial: each release
-is a chain of small numpy calls that hold the GIL, so worker threads would
-only contend for it.
+same).  The runner keeps one stream per run, a numpy Generator from
+RngStream(0), re-seeded in place by restate for each task.  On each dataset
+it makes one ``release`` call per (mechanism, epsilon) with the streams of
+all the runs, which calls the mechanism once with all of them, and it
+aggregates the results in fixed index order.  Each stream draws what it
+would draw alone.  The runner is serial: each release is a chain of small
+numpy calls that hold the GIL, so worker threads would only contend for it.
 """
 
 from __future__ import annotations
@@ -28,12 +28,12 @@ from typing import IO, Callable, Sequence
 
 import numpy as np
 
-from . import mechanisms
 from .audit import check_scored, flexible_error
 from .baselines import bns_mech, exp_mech, ptr_mech, sanpoints_mech, ss_mech
 from .certificates import solve_q
 from .hist import (
     STATISTICS,
+    UNDEFINED,
     DomainError,
     Histogram,
     MetricSpace,
@@ -44,10 +44,12 @@ from .hist import (
     parse_statistic,
 )
 from .mechanisms import (
-    UNDEFINED,
     MechParams,
+    RngStream,
+    Streams,
     as_streams,
     mech_hbs,
+    restate,
     seed_sequence_words,
     split_seed,
     split_seed_grid,
@@ -278,7 +280,7 @@ def read_config(path: str) -> ExperimentConfig:
 # dataset generators
 
 
-def gen_dataset(cfg: ExperimentConfig, rng: mechanisms.RngStream) -> Histogram:
+def gen_dataset(cfg: ExperimentConfig, rng: np.random.Generator) -> Histogram:
     """One input histogram over [0, bound) according to the generator spec.
 
     The scale factor multiplies heights (item count for the Cauchy stream),
@@ -359,8 +361,7 @@ def derive_params(cfg: ExperimentConfig, eps: float, n: int) -> tuple[MechParams
 
 
 def release(name: str, kind: StatisticKind, x: Histogram, eps: float, delta: float,
-            beta: float, rounds: int,
-            rng: mechanisms.RngStream | Sequence[mechanisms.RngStream]):
+            beta: float, rounds: int, rng: Streams):
     """Run mechanism ``name`` on x; returns (released value, row flags).
 
     ``rng`` is one stream, or a sequence of streams: then the result is a
@@ -403,7 +404,7 @@ def run_experiment(cfg: ExperimentConfig, threads: int = 1
     """
     if threads < 1:
         raise ParameterError("threads must be >= 1")
-    datasets = [gen_dataset(cfg, mechanisms.RngStream(split_seed(cfg.seed, d)))
+    datasets = [gen_dataset(cfg, RngStream(split_seed(cfg.seed, d)))
                 for d in range(cfg.datasets)]
     truths = []
     for d, x in enumerate(datasets):
@@ -428,13 +429,13 @@ def run_experiment(cfg: ExperimentConfig, threads: int = 1
     flexes = np.empty((len(tasks), total))
     flags: list[set[str]] = [set() for _ in tasks]
     bound = float(cfg.bound)
-    streams = [mechanisms.RngStream(0) for _ in range(cfg.runs)]  # one per run, re-seeded
+    streams = [RngStream(0) for _ in range(cfg.runs)]  # one per run, re-seeded
     for d, (x, truth) in enumerate(zip(datasets, truths)):
         released = []  # one row per task, one value per run
         for t, (name, eps) in enumerate(tasks):
             batch = release(name, cfg.statistic, x, eps, cfg.delta, cfg.beta_value,
                             cfg.sanpoints_rounds,
-                            [s.restate(row) for s, row in zip(streams, words[d][t])])
+                            [restate(s, row) for s, row in zip(streams, words[d][t])])
             values = [value for value, _ in batch]
             released.append(values)
             plains[t, d * cfg.runs:(d + 1) * cfg.runs] = [

@@ -42,6 +42,7 @@ from .certificates import (
     trlap_dp_cert,
 )
 from .hist import (
+    UNDEFINED,
     DomainError,
     Histogram,
     MetricSpace,
@@ -51,7 +52,7 @@ from .hist import (
     read_histogram,
     require_1d_statistic,
 )
-from .mechanisms import UNDEFINED, MechParams, RngStream, mech_hbs
+from .mechanisms import MechParams, RngStream, mech_hbs
 from .transport import DiscreteDistribution, winf_lossy
 
 

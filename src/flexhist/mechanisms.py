@@ -10,25 +10,14 @@ touched, so the output support stays inside the input support.
 
 from __future__ import annotations
 
-import copyreg
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Sequence
+from typing import Sequence, Union
 
 import numpy as np
 
-from .hist import (  # UNDEFINED, Undefined and statistic_or_undefined live in hist
-    UNDEFINED,
-    CountRows,
-    DomainError,
-    Histogram,
-    ParameterError,
-    Point,
-    StatisticKind,
-    Undefined,
-    statistic_or_undefined,
-)
+from .hist import CountRows, DomainError, Histogram, ParameterError, Point, StatisticKind
 
 _M64 = (1 << 64) - 1
 
@@ -102,7 +91,7 @@ def _hash32(value: np.ndarray, before: np.ndarray, after: np.ndarray) -> np.ndar
 def seed_sequence_words(seeds: np.ndarray) -> np.ndarray:
     """SeedSequence(seed).generate_state(4, np.uint64) for every seed of a
     uint64 array, on a new last axis of length 4: the words PCG64(seed)
-    seeds itself from (see RngStream.restate).
+    seeds itself from (see restate).
 
     numpy's SeedSequence, run over a (4, seeds) uint32 pool.  A seed below
     2^32 has one entropy word where a larger one has two, but the pool pads
@@ -127,59 +116,39 @@ def seed_sequence_words(seeds: np.ndarray) -> np.ndarray:
     return words.astype(np.uint64, copy=False).reshape(seeds.shape + (4,))
 
 
-def __getattr__(name: str):
-    # RngStream is defined on first use (PEP 562): it subclasses numpy's
-    # Generator, and importing numpy.random adds about 6 MB to a process that
-    # imports flexhist only to transport or score
-    if name != "RngStream":
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+def RngStream(seed: int) -> np.random.Generator:
+    """Deterministic pseudo-random stream: numpy's Generator over PCG64,
+    np.random.default_rng(seed) with the seed taken mod 2^64.  ``restate``
+    re-seeds a stream in place, so one object serves task after task."""
+    # imported here: numpy.random adds about 6 MB to a process that imports
+    # flexhist only to transport or score
+    from numpy.random import default_rng
 
-    class RngStream(np.random.Generator):
-        """Deterministic pseudo-random stream: numpy's Generator over PCG64.
-
-        RngStream(seed) is np.random.default_rng(seed), with the seed taken mod
-        2^64.  ``restate`` re-seeds the stream in place, so one object serves
-        task after task.
-        """
-
-        __qualname__ = "RngStream"
-
-        def __init__(self, seed: int):
-            super().__init__(np.random.PCG64(seed & _M64))
-
-        def restate(self, words: Sequence[int]) -> RngStream:
-            """Re-seed in place: afterwards this stream draws what RngStream(seed)
-            draws.  Returns self.
-
-            ``words`` is seed's row of seed_sequence_words, as Python ints.
-            PCG64's srandom step turns it into the (state, inc) pair that
-            default_rng(seed) starts from: state 0 steps to inc, adds the seed
-            and steps again, in 128-bit arithmetic.  The 32-bit half-draw that
-            integers() can leave buffered is dropped too, so nothing of what the
-            stream drew before carries over.
-            """
-            s_hi, s_lo, i_hi, i_lo = words
-            inc = ((i_hi << 64 | i_lo) << 1 | 1) & _M128
-            state = (((s_hi << 64 | s_lo) + inc) * _PCG_MULT + inc) & _M128
-            self.bit_generator.state = {"bit_generator": "PCG64",
-                                        "state": {"state": state, "inc": inc},
-                                        "has_uint32": 0, "uinteger": 0}
-            return self
-
-        def choice_weighted(self, weights: np.ndarray) -> int:
-            return int(pick(cumulative_weights(weights), self.random()))
-
-    # numpy's Generator pickles and copies as the base class: register a
-    # reduction that rebuilds this class at the same stream position
-    copyreg.pickle(RngStream, lambda s: (_stream_at, (type(s), s.bit_generator.state)))
-    globals()["RngStream"] = RngStream
-    return RngStream
+    return default_rng(seed & _M64)
 
 
-def _stream_at(cls: type, state: dict):
-    stream = cls(0)
-    stream.bit_generator.state = state
+def restate(stream: np.random.Generator, words: Sequence[int]) -> np.random.Generator:
+    """Re-seed ``stream`` in place: afterwards it draws what RngStream(seed)
+    draws.  Returns the stream.
+
+    ``words`` is seed's row of seed_sequence_words, as Python ints.  PCG64's
+    srandom step turns it into the (state, inc) pair that default_rng(seed)
+    starts from: state 0 steps to inc, adds the seed and steps again, in
+    128-bit arithmetic.  The 32-bit half-draw that integers() can leave
+    buffered is dropped too, so nothing of what the stream drew before
+    carries over.
+    """
+    s_hi, s_lo, i_hi, i_lo = words
+    inc = ((i_hi << 64 | i_lo) << 1 | 1) & _M128
+    state = (((s_hi << 64 | s_lo) + inc) * _PCG_MULT + inc) & _M128
+    stream.bit_generator.state = {"bit_generator": "PCG64",
+                                  "state": {"state": state, "inc": inc},
+                                  "has_uint32": 0, "uinteger": 0}
     return stream
+
+
+#: one stream, or a sequence of distinct streams (see as_streams)
+Streams = Union["np.random.Generator", Sequence["np.random.Generator"]]
 
 
 def as_streams(rng) -> tuple[list, bool]:
@@ -223,6 +192,16 @@ def pick(c: np.ndarray, u):
 # noise
 
 
+def _check_privacy(eps: float, delta: float | None = None) -> None:
+    """Raise ParameterError unless eps > 0 and, where a mechanism uses one,
+    delta is in (0, 1); NaN fails both.  Called before any draw, so a
+    rejected call leaves every stream where it was."""
+    if not eps > 0:
+        raise ParameterError("eps must be positive")
+    if delta is not None and not 0 < delta < 1:
+        raise ParameterError("delta must be in (0,1)")
+
+
 def emptiness_probs(q: int, eps: float, delta: float) -> np.ndarray:
     """Bar-emptying probabilities p_0..p_q of the count-reduction scheme.
 
@@ -233,8 +212,7 @@ def emptiness_probs(q: int, eps: float, delta: float) -> np.ndarray:
     """
     if q < 1 or int(q) != q:
         raise ParameterError("q must be a positive integer")
-    if not (eps > 0 and 0 < delta < 1):
-        raise ParameterError("need eps > 0 and delta in (0,1)")
+    _check_privacy(eps, delta)
     mid = delta * math.expm1(eps * q / 2) / math.expm1(eps)
     if abs(mid - 0.5) > 1e-9:
         raise ParameterError(
@@ -262,7 +240,7 @@ def trlap_cdf(q: float, eps: float, t: float) -> float:
     return (lap - lo) / (1.0 - 2.0 * lo)
 
 
-def trlap_sample(q: float, eps: float, rng: RngStream, size=None):
+def trlap_sample(q: float, eps: float, rng: np.random.Generator, size=None):
     """Inverse-CDF draws from the shifted-truncated Laplace density."""
     z = _trlap_quantile(q, eps, rng.random(size))
     return float(z) if size is None else z
@@ -304,8 +282,7 @@ def trlap_output_pmf(k: int, q: float, eps: float) -> np.ndarray:
 # mechanisms
 
 
-def mech_trlap(x: Histogram, tau: float, eps: float,
-               rng: RngStream | Sequence[RngStream]) -> Histogram | CountRows:
+def mech_trlap(x: Histogram, tau: float, eps: float, rng: Streams) -> Histogram | CountRows:
     """Per-bar truncated-Laplace release with truncation q = tau * |x|.
 
     tau = 0 degenerates to the identity (zero noise).  Occupied bars lose at
@@ -321,8 +298,7 @@ def mech_trlap(x: Histogram, tau: float, eps: float,
     counts = x.bars()[1]
     if tau == 0:  # every release is x
         return x if one else CountRows(x, np.tile(counts, (len(streams), 1)))
-    if not eps > 0:
-        raise ParameterError("eps must be positive")
+    _check_privacy(eps)
     u = np.empty((len(streams), len(counts)))
     for s, row in zip(streams, u):
         s.random(out=row)  # the draws of s.random(len(counts))
@@ -417,8 +393,7 @@ class MechParams:
             raise ParameterError("alpha must be in [0,1)")
         if not self.beta > 0:
             raise ParameterError("beta must be positive")
-        if not self.eps > 0:
-            raise ParameterError("eps must be positive")
+        _check_privacy(self.eps)
         if not (0 < self.B < math.inf and self.d >= 1):
             raise ParameterError("B must be finite and positive, and d >= 1")
 
@@ -440,14 +415,12 @@ class MechParams:
         return self.alpha / self.t
 
 
-def mech_buckethist(x: Histogram, p: MechParams,
-                    rng: RngStream | Sequence[RngStream]) -> Histogram | CountRows:
+def mech_buckethist(x: Histogram, p: MechParams, rng: Streams) -> Histogram | CountRows:
     """Bucket to width 2*beta, then truncated-Laplace with tau = alpha / t."""
     return mech_trlap(mech_bucket(x, p.bucket_spec), p.tau, p.eps, rng)
 
 
-def mech_hbs(kind: StatisticKind, x: Histogram, p: MechParams,
-             rng: RngStream | Sequence[RngStream]):
+def mech_hbs(kind: StatisticKind, x: Histogram, p: MechParams, rng: Streams):
     """Release a histogram statistic through the bucketed noisy histogram.
 
     Returns UNDEFINED instead of raising when the released statistic does

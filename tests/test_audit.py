@@ -29,13 +29,14 @@ from flexhist.hist import (
     MIN,
     MODE,
     SUPPORT,
+    UNDEFINED,
     DomainError,
     Histogram,
     MetricSpace,
     ParameterError,
     maxk,
 )
-from flexhist.mechanisms import UNDEFINED, trlap_output_pmf
+from flexhist.mechanisms import trlap_output_pmf
 from flexhist.transport import DiscreteDistribution, winf_lossy
 
 SPACE = MetricSpace(1, 100.0)

@@ -33,6 +33,7 @@ from flexhist.hist import (
     MIN,
     MODE,
     SUPPORT,
+    UNDEFINED,
     CountRows,
     DomainError,
     Histogram,
@@ -41,9 +42,9 @@ from flexhist.hist import (
     UndefinedStatisticError,
     eval_statistic,
     maxk,
+    statistic_or_undefined,
 )
 from flexhist.mechanisms import (
-    UNDEFINED,
     MechParams,
     RngStream,
     cumulative_weights,
@@ -51,7 +52,6 @@ from flexhist.mechanisms import (
     mech_hbs,
     mech_trlap,
     pick,
-    statistic_or_undefined,
     trlap_sample,
 )
 
@@ -118,7 +118,7 @@ def _sanpoints(x, eps, delta, k_rounds, rng):
         pts = list(remaining)  # point order: x's order, kept by pop
         heights = np.array([remaining[g] for g in pts], dtype=float)
         w = np.exp(eps_round * (heights - heights.max()) / 2.0)
-        g = pts[rng.choice_weighted(w)]
+        g = pts[int(pick(cumulative_weights(w), rng.random()))]
         out[g] = max(0, round(remaining.pop(g) + rng.laplace(scale=2.0 * k_rounds / eps)))
     return Histogram(out, x.space)
 
@@ -332,7 +332,10 @@ def test_batched_sanpoints_pick_past_the_last_cumulative_weight():
     # at eps' = 40 the weights cumulate to 1 - 2^-52, and the last one is 0:
     # a draw of 1 - 2^-53 lies past every sum, and the pick falls back to
     # the first bar where the sums reach their end, bar 2
-    class TopDraw(RngStream):
+    class TopDraw(np.random.Generator):
+        def __init__(self, seed):
+            super().__init__(np.random.PCG64(seed))  # RngStream(seed)'s bit generator
+
         def random(self, *args, **kwargs):
             return 1.0 - 2.0**-53 if not args and not kwargs else super().random(*args, **kwargs)
 
@@ -564,7 +567,7 @@ def test_count_rows_read_as_the_histograms_they_make():
 
 
 def _pick_two_searches(c, u):
-    # the rule choice_weighted used to spell out
+    # the rule pick replaces: a right search, and past the end a left one
     i = int(np.searchsorted(c, u, side="right"))
     return i if i < len(c) else int(np.searchsorted(c, c[-1], side="left"))
 

@@ -32,6 +32,7 @@ from flexhist.hist import (
     MIN,
     MODE,
     SUPPORT,
+    UNDEFINED,
     DomainError,
     Histogram,
     MetricSpace,
@@ -39,8 +40,8 @@ from flexhist.hist import (
     eval_statistic,
     maxk,
 )
-from flexhist.bench import gen_dataset, read_config
-from flexhist.mechanisms import UNDEFINED, RngStream, split_seed
+from flexhist.bench import gen_dataset, read_config, release
+from flexhist.mechanisms import RngStream, split_seed
 
 B100 = MetricSpace(1, 100.0)
 
@@ -116,13 +117,14 @@ def test_exp_mech_matches_closed_form_distribution():
     assert scipy.stats.chisquare(tally, expected * n).pvalue > 1e-3
 
 
-def test_exp_mech_uniform_at_eps_zero():
+def test_exp_mech_uniform_as_eps_tends_to_zero():
+    # eps = 0 itself is rejected (see the out-of-range test below)
     x = tiny_hist([0, 0, 1, 0])
     n = 20000
     rng = RngStream(22)
     tally = np.zeros(4, dtype=int)
     for _ in range(n):
-        tally[exp_mech(MAX, x, 0.0, rng)] += 1
+        tally[exp_mech(MAX, x, 1e-12, rng)] += 1
     assert scipy.stats.chisquare(tally).pvalue > 1e-3
 
 
@@ -609,6 +611,41 @@ def test_releases_past_int64_raise_instead_of_wrapping():
             sanpoints(x, eps, 2**-20, 3, RngStream(1))
     with pytest.raises(DomainError, match="does not fit int64"):
         bns_hist(x, 1e-300, 0.99, RngStream(1))
+
+
+# ---------------------------------------------------------------------------
+# privacy parameters out of range
+
+
+RANGE_HIST = Histogram({1: 5, 3: 7, 9: 2}, MetricSpace(1, 10.0))
+#: each baseline of bench.release called directly, as (eps, delta, rng) -> release,
+#: and whether it takes delta
+DIRECT = {
+    "expmech": (lambda eps, delta, rng: exp_mech(MAX, RANGE_HIST, eps, rng), False),
+    "ptr": (lambda eps, delta, rng: ptr_mech(MAX, RANGE_HIST, eps, delta, rng), True),
+    "smoothsens": (lambda eps, delta, rng: ss_mech(MAX, RANGE_HIST, eps, delta, rng), True),
+    "bnshist": (lambda eps, delta, rng: bns_hist(RANGE_HIST, eps, delta, rng), True),
+    "sanpoints": (lambda eps, delta, rng: sanpoints(RANGE_HIST, eps, delta, 2, rng), False),
+}
+BAD_EPS = [(0.0, 0.01), (-1.0, 0.01), (math.nan, 0.01)]
+BAD_DELTA = [(1.0, 0.0), (1.0, -0.5), (1.0, 1.0), (1.0, 2.0), (1.0, math.nan)]
+
+
+@pytest.mark.parametrize("name, eps, delta", [
+    (name, eps, delta) for name, (_, takes_delta) in DIRECT.items()
+    for eps, delta in BAD_EPS + (BAD_DELTA if takes_delta else [])])
+def test_baselines_reject_out_of_range_privacy_parameters_before_drawing(name, eps, delta):
+    run = DIRECT[name][0]
+    match = "eps must be positive" if not eps > 0 else re.escape("delta must be in (0,1)")
+    for seeds in ([0], [0, 1]):
+        streams = [RngStream(seed) for seed in seeds]
+        rng = streams[0] if len(seeds) == 1 else streams
+        with pytest.raises(ParameterError, match=match):
+            run(eps, delta, rng)
+        with pytest.raises(ParameterError, match=match):
+            release(name, MAX, RANGE_HIST, eps, delta, 1.0, 2, rng)
+        for stream, seed in zip(streams, seeds):  # undrawn
+            assert stream.bit_generator.state == RngStream(seed).bit_generator.state
 
 
 # ---------------------------------------------------------------------------

@@ -42,6 +42,7 @@ from flexhist.hist import (
     MODE,
     STATISTICS,
     SUPPORT,
+    UNDEFINED,
     DomainError,
     Histogram,
     MetricSpace,
@@ -51,7 +52,6 @@ from flexhist.hist import (
     parse_statistic,
 )
 from flexhist.mechanisms import (
-    UNDEFINED,
     BucketSpec,
     RngStream,
     mech_bucket,

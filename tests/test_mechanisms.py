@@ -17,24 +17,27 @@ from hypothesis import strategies as st
 import flexhist
 from flexhist.hist import (
     MAX,
+    UNDEFINED,
     DomainError,
     Histogram,
     MetricSpace,
     ParameterError,
+    Undefined,
     eval_statistic,
     maxk,
 )
 from flexhist.mechanisms import (
-    UNDEFINED,
     BucketSpec,
     MechParams,
     RngStream,
-    Undefined,
+    cumulative_weights,
     emptiness_probs,
     mech_bucket,
     mech_buckethist,
     mech_hbs,
     mech_trlap,
+    pick,
+    restate,
     seed_sequence_words,
     split_seed,
     split_seed_grid,
@@ -94,7 +97,7 @@ def _check_seeding(seeds):
     stream = RngStream(0)
     for seed, row in zip(seeds, words.tolist()):
         assert row == np.random.SeedSequence(seed).generate_state(4, np.uint64).tolist()
-        assert stream.restate(row) is stream
+        assert restate(stream, row) is stream
         assert stream.bit_generator.state == np.random.default_rng(seed).bit_generator.state
 
 
@@ -114,7 +117,8 @@ def _draws(rng):
     # 32-bit integers first: a buffered half-draw would show in the first one
     return (rng.integers(0, 100, 3).tolist(), rng.random(3).tolist(),
             rng.laplace(scale=2.0, size=3).tolist(), rng.integers(0, 2**40, 2).tolist(),
-            rng.poisson(7.0, 3).tolist(), rng.choice_weighted(np.arange(1.0, 9.0)))
+            rng.poisson(7.0, 3).tolist(),
+            int(pick(cumulative_weights(np.arange(1.0, 9.0)), rng.random())))
 
 
 @settings(max_examples=50)
@@ -127,28 +131,26 @@ def test_restated_streams_draw_what_fresh_streams_draw(seeds, odd):
         # an odd number of 32-bit draws past any buffered one leaves a half-draw buffered
         stream.integers(0, 100, size=odd + stream.bit_generator.state["has_uint32"])
         assert stream.bit_generator.state["has_uint32"] == 1
-        assert _draws(stream.restate(row)) == _draws(RngStream(seed))
+        assert _draws(restate(stream, row)) == _draws(RngStream(seed))
 
 
-def test_rng_stream_is_a_generator_with_three_methods_of_its_own():
-    # numpy's own draws under their own names: no renaming method such as
-    # laplace(scale), which a caller could mistake for Generator.laplace(loc)
-    assert issubclass(RngStream, np.random.Generator)
-    own = {name for name, v in vars(RngStream).items()
-           if callable(v) or isinstance(v, (classmethod, staticmethod, property))}
-    assert own == {"__init__", "restate", "choice_weighted"}
-    assert RngStream(2**64 + 5).bit_generator.state == np.random.default_rng(5).bit_generator.state
+def test_rng_stream_is_default_rng_with_the_seed_mod_2_64():
+    rng = RngStream(2**64 + 5)
+    assert type(rng) is np.random.Generator
+    assert rng.bit_generator.state == np.random.default_rng(5).bit_generator.state
 
 
 def test_importing_flexhist_leaves_numpy_random_unloaded():
-    # RngStream is defined on first use: a process that only transports or
-    # scores never loads numpy.random (about 6 MB); the serial runner loads
-    # no thread pool
-    code = ("import sys, flexhist, flexhist.bench, flexhist.baselines\n"
+    # numpy.random loads at the first RngStream call: a process that only
+    # transports or scores never loads it (about 6 MB); the serial runner
+    # loads no thread pool
+    code = ("import sys, flexhist, flexhist.bench, flexhist.baselines, flexhist.cli\n"
+            "from flexhist.mechanisms import RngStream\n"
             "assert 'numpy.random' not in sys.modules\n"
             "assert 'concurrent.futures' not in sys.modules\n"
-            "from flexhist.mechanisms import RngStream\n"
-            "assert 'numpy.random' in sys.modules and flexhist.RngStream is RngStream\n")
+            "assert flexhist.RngStream is RngStream\n"
+            "RngStream(0)\n"
+            "assert 'numpy.random' in sys.modules\n")
     src = os.path.dirname(os.path.dirname(flexhist.__file__))
     subprocess.run([sys.executable, "-c", code], check=True, timeout=60,
                    env={**os.environ, "PYTHONPATH": src})
@@ -176,63 +178,45 @@ def test_rng_stream_simple_draws():
 def _stream_draws(rng):
     return (rng.random(3).tolist(), rng.integers(0, 100, 5).tolist(),
             rng.laplace(scale=2.0, size=3).tolist(),
-            rng.choice_weighted(np.array([1.0, 2.0, 3.0])))
+            int(pick(cumulative_weights(np.array([1.0, 2.0, 3.0])), rng.random())))
 
 
-@pytest.mark.parametrize("copier", [lambda r: pickle.loads(pickle.dumps(r)), copy.deepcopy,
-                                    copy.copy], ids=["pickle", "deepcopy", "copy"])
-def test_copied_stream_is_an_rng_stream_drawing_what_the_original_draws(copier):
+@pytest.mark.parametrize("copier", [lambda r: pickle.loads(pickle.dumps(r)), copy.deepcopy],
+                         ids=["pickle", "deepcopy"])
+def test_copied_stream_draws_what_the_original_draws(copier):
     rng = RngStream(3)
     rng.integers(0, 5, size=3)  # an odd number of 32-bit draws leaves a half-draw buffered
     assert rng.bit_generator.state["has_uint32"] == 1
     twin = copier(rng)
-    assert type(twin) is RngStream and twin is not rng
+    assert type(twin) is np.random.Generator and twin is not rng
     assert twin.bit_generator.state == rng.bit_generator.state
     assert _stream_draws(twin) == _stream_draws(rng)
-    assert twin.restate(seed_sequence_words(np.array([7], np.uint64))[0].tolist()).random() \
+    assert restate(twin, seed_sequence_words(np.array([7], np.uint64))[0].tolist()).random() \
         == RngStream(7).random()
 
 
-def test_pickled_stream_loads_in_a_process_that_never_named_rng_stream():
-    rng = RngStream(11)
-    rng.random(5)
-    code = ("import pickle, sys\n"
-            "rng = pickle.loads(sys.stdin.buffer.read())\n"
-            "print(type(rng).__name__, rng.random(), rng.choice_weighted([1.0, 1.0]))\n")
-    src = os.path.dirname(os.path.dirname(flexhist.__file__))
-    out = subprocess.run([sys.executable, "-c", code], input=pickle.dumps(rng), check=True,
-                         timeout=60, capture_output=True, env={**os.environ, "PYTHONPATH": src})
-    assert out.stdout.decode().split() == ["RngStream", repr(rng.random()),
-                                           str(rng.choice_weighted([1.0, 1.0]))]
-
-
-def test_choice_weighted_frequencies():
+def test_pick_frequencies():
     rng = RngStream(2024)
     n = 8000
-    hits = sum(rng.choice_weighted(np.array([1.0, 3.0])) for _ in range(n))
+    c = cumulative_weights(np.array([1.0, 3.0]))
+    hits = sum(int(pick(c, rng.random())) for _ in range(n))
     # P(index 1) = 0.75; allow five binomial standard deviations
     assert abs(hits / n - 0.75) < 5 * math.sqrt(0.75 * 0.25 / n)
-
-
-class _TopDraw(RngStream):
-    """A stream whose uniform draw is the largest float below 1."""
-
-    def random(self, size=None):
-        return np.nextafter(1.0, 0.0)
 
 
 @pytest.mark.parametrize("weights, want", [
     (np.ones(255), 254),  # normalised cumsum ends at 0.9999999999999969
     (np.concatenate((np.ones(255), [0.0, 0.0])), 254),  # the last bar with weight
 ])
-def test_choice_weighted_never_picks_past_the_last_weighted_bar(weights, want):
-    assert np.cumsum(weights / weights.sum())[-1] < np.nextafter(1.0, 0.0)
-    assert _TopDraw(0).choice_weighted(weights) == want
+def test_pick_never_picks_past_the_last_weighted_bar(weights, want):
+    top = np.nextafter(1.0, 0.0)  # the largest uniform draw
+    assert np.cumsum(weights / weights.sum())[-1] < top
+    assert int(pick(cumulative_weights(weights), top)) == want
 
 
-def test_choice_weighted_rejects_zero_total():
+def test_cumulative_weights_rejects_zero_total():
     with pytest.raises(ParameterError):
-        RngStream(1).choice_weighted(np.array([0.0, 0.0]))
+        cumulative_weights(np.array([0.0, 0.0]))
 
 
 # ---------------------------------------------------------------------------
